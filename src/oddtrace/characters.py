@@ -138,7 +138,11 @@ def resolve_signs(max_exponent: Fraction) -> SignAssignment:
     ks = _bgg_indices(max_exponent, inclusive=True)
     if not ks:
         return SignAssignment({})
-    target = _eta_cubed_quarter(max_exponent)
+    return _match_signs(ks, _eta_cubed_quarter(max_exponent))
+
+
+def _match_signs(ks: List[int], target: FracPowerSeries) -> SignAssignment:
+    """The sign of each index k in `ks` read off the target eta^3/4."""
     signs: Dict[int, int] = {}
     for k in ks:
         exponent, magnitude = pbw.verma_leading_trace(k, pbw.BGG_CENTRAL_CHARGE, +1)
@@ -201,19 +205,33 @@ def verify_jacobi(order: Fraction) -> VerificationReport:
 
 def verify_fermion_eta(max_level: int) -> VerificationReport:
     """Brute-force Fock-module trace against eta, levels 0..max_level."""
+    return _fermion_route(max_level)[1]
+
+
+def _fermion_route(max_level: int) -> Tuple[pbw.GradedTraceReport, VerificationReport]:
+    """The brute-force trace and its check against eta, each computed once."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    series = pbw.fermion_odd_trace(max_level).series
+    trace = pbw.fermion_odd_trace(max_level)
     order = F(1, 24) + max_level + 1
-    return compare_series("fermion-odd-trace-eta", series, eta(max_level + 1), order)
+    return trace, compare_series("fermion-odd-trace-eta", trace.series,
+                                 eta(max_level + 1), order)
 
 
 def verify_bgg_equals_eta_cubed(order: Fraction) -> VerificationReport:
     """Resolution route vs closed form: the two computations of the c = -21/4
     odd trace must agree below `order`."""
+    return _bgg_route(order)[2]
+
+
+def _bgg_route(order: Fraction
+               ) -> Tuple[SignAssignment, FracPowerSeries, VerificationReport]:
+    """Resolved signs, the resolution-route series and its check against
+    eta^3/4, with the target built once for both the signs and the check."""
     order = Fraction(order)
     if order < F(1, 8):
         raise ValueError("order must be at least 1/8")
-    signs = resolve_signs(order)
+    target = _eta_cubed_quarter(order)
+    signs = _match_signs(_bgg_indices(order, inclusive=True), target)
     lhs = bgg_odd_trace(order, signs)
-    return compare_series("bgg-eta-cubed-quarter", lhs, _eta_cubed_quarter(order), order)
+    return signs, lhs, compare_series("bgg-eta-cubed-quarter", lhs, target, order)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
 from .modcheck import TauPoint, check_S, check_T
@@ -93,16 +94,13 @@ def _cmd_jacobi_verify(config):
 def _cmd_fermion_trace(config):
     if config.level < 1:
         raise UsageError("--level must be >= 1")
-    trace = pbw.fermion_odd_trace(config.level)
-    report = characters.verify_fermion_eta(config.level)
+    trace, report = characters._fermion_route(config.level)
     payload = {"trace": trace.to_json_dict(), "verification": report.to_json_dict()}
     return (0 if report.passed else 1), payload
 
 
 def _cmd_bgg(config):
-    signs = characters.resolve_signs(config.order)
-    series = characters.bgg_odd_trace(config.order, signs)
-    report = characters.verify_bgg_equals_eta_cubed(config.order)
+    signs, series, report = characters._bgg_route(config.order)
     payload = {
         "signs": signs.to_json_dict(),
         "series": series.to_json_dict(),
@@ -145,7 +143,8 @@ def _cmd_cancellation(config):
 def _cmd_modcheck(config):
     order = _int_order(config)
     tau = TauPoint(*config.tau)
-    series = {"eta": (eta(order), F(1, 2)), "eta^3": (eta(order) ** 3, F(3, 2))}
+    e = eta(order)
+    series = {"eta": (e, F(1, 2)), "eta^3": (e ** 3, F(3, 2))}
     rows = []
     ok = True
     for name in sorted(series):
@@ -217,7 +216,9 @@ COMMANDS = {
 }
 
 # Which library verification operation each subcommand drives (coverage:
-# every verify_* is reachable from exactly one subcommand).
+# every verify_* is reachable from exactly one subcommand).  fermion-trace and
+# bgg run theirs through the characters helper behind it, which also returns
+# the trace or the signs and series the report prints.
 VERIFICATION_COMMANDS = {
     "jacobi-verify": characters.verify_jacobi,
     "fermion-trace": characters.verify_fermion_eta,
@@ -308,8 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tau_value(argv: List[str]) -> List[str]:
+    """Rewrite `--tau -0.3,0.9` as `--tau=-0.3,0.9`.
+
+    argparse reads a separate token that starts with '-' and is not a plain
+    negative number as an option, so a tau with a negative real part would
+    otherwise be a usage error.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--tau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_tau_value(argv))
     config = CommandConfig(command=args.command, order=args.order, level=args.level,
                            p=args.p, pp=args.pp, tau=args.tau, fmt=args.fmt,
                            out=args.out)

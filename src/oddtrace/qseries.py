@@ -5,7 +5,9 @@ exponent grid (1/D)Z together with a truncation bound T: the series is exact
 for every exponent strictly below T and says nothing about exponents >= T.
 Binary operations merge grids to the lcm and propagate the tightest sound
 truncation.  All coefficients are `fractions.Fraction`; nothing in this
-module touches floating point.
+module touches floating point.  Products and `euler_product` compute on
+integer numerators (each operand scaled by the lcm of its coefficient
+denominators) and build one exact `Fraction` series at the end.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ class FracPowerSeries:
         if denominator <= 0:
             raise ValueError("grid denominator must be positive")
         truncation = _as_fraction(truncation)
+        limit = truncation.numerator * denominator  # k/D >= T  <=>  k * T.den >= limit
         clean: Dict[int, Fraction] = {}
         for k, c in coeffs.items():
             c = Fraction(c)
             if c == 0:
                 continue
-            if Fraction(k, denominator) >= truncation:
+            if k * truncation.denominator >= limit:
                 continue
             clean[int(k)] = c
         self.denominator = denominator
@@ -197,17 +200,30 @@ class FracPowerSeries:
         t = min(self.truncation + other._low_bound(),
                 other.truncation + self._low_bound())
         sa, sb = d // self.denominator, d // other.denominator
-        out: Dict[int, Fraction] = {}
-        tn, td = t.numerator, t.denominator
-        bterms = [(k * sb, c) for k, c in sorted(other._coeffs.items())]
-        for ka, ca in self._coeffs.items():
+        # Convolve integer numerators: scale each operand by the lcm of its
+        # coefficient denominators, then divide the products by both once.
+        la, anums = self._numerators()
+        lb, bnums = other._numerators()
+        out: Dict[int, int] = {}
+        limit, td = t.numerator * d, t.denominator
+        bterms = [(k * sb, n) for k, n in sorted(bnums.items())]
+        for ka, na in anums.items():
             ka *= sa
-            for kb, cb in bterms:
+            for kb, nb in bterms:
                 k = ka + kb
-                if k * td >= tn * d:
+                if k * td >= limit:
                     break  # bterms sorted: later exponents only grow
-                out[k] = out.get(k, Fraction(0)) + ca * cb
-        return FracPowerSeries(d, t, out)
+                out[k] = out.get(k, 0) + na * nb
+        scale = la * lb
+        if scale == 1:
+            return FracPowerSeries(d, t, out)
+        return FracPowerSeries(d, t, {k: Fraction(n, scale) for k, n in out.items()})
+
+    def _numerators(self) -> Tuple[int, Dict[int, int]]:
+        """(L, {key: L * coeff}) with L the lcm of the coefficient denominators."""
+        scale = lcm(1, *(c.denominator for c in self._coeffs.values()))
+        return scale, {k: c.numerator * (scale // c.denominator)
+                       for k, c in self._coeffs.items()}
 
     __rmul__ = __mul__
 
@@ -344,21 +360,19 @@ class FracPowerSeries:
 def euler_product(order: int) -> FracPowerSeries:
     """prod_{n=1}^{order} (1 - q^n), exact below `order`.
 
-    Factors with n > order cannot touch exponents below `order`, so this
+    Factors with n >= order cannot touch exponents below `order`, so this
     equals the infinite product to the declared truncation.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    out = FracPowerSeries.one(Fraction(order))
-    for n in range(1, order + 1):
-        coeffs = dict(out._coeffs)
-        for k, c in out._coeffs.items():
-            key = k + n
-            if key >= order:
-                continue
-            coeffs[key] = coeffs.get(key, Fraction(0)) - c
-        out = FracPowerSeries(1, Fraction(order), coeffs)
-    return out
+    # Multiply the dense coefficient list by each (1 - q^n) in place; the
+    # descending index reads a[k - n] before this factor has updated it.
+    a = [0] * order
+    a[0] = 1
+    for n in range(1, order):
+        for k in range(order - 1, n - 1, -1):
+            a[k] -= a[k - n]
+    return FracPowerSeries(1, order, dict(enumerate(a)))
 
 
 def eta(order: int) -> FracPowerSeries:

@@ -107,6 +107,14 @@ def test_modcheck(capsys):
     assert len(witness) == 1 and witness[0]["residual"] > 1e-2
 
 
+def test_modcheck_tau_with_negative_real_part(capsys):
+    code, out = _capture(capsys, ["modcheck", "--order", "150", "--tau", "-0.3,0.9"])
+    assert code == 0
+    _, joined = _capture(capsys, ["modcheck", "--order", "150", "--tau=-0.3,0.9"])
+    assert out == joined
+    assert json.loads(out)["rows"][0]["tau"] == [-0.3, 0.9]
+
+
 def test_modcheck_rejects_lower_half_plane(capsys):
     code = main(["modcheck", "--tau", "0.1,-0.9"])
     assert code == 2

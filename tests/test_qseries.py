@@ -26,6 +26,33 @@ def oracle_euler_coeffs(order):
     return coeffs
 
 
+def oracle_pentagonal_coeffs(order):
+    """Euler's pentagonal number theorem: prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2)."""
+    coeffs = {}
+    k = 0
+    while k * (3 * k - 1) // 2 < order:
+        for m in ((k, -k) if k else (0,)):
+            e = m * (3 * m - 1) // 2
+            if e < order:
+                coeffs[e] = (-1) ** k
+        k += 1
+    return coeffs
+
+
+def oracle_product(a, b):
+    """Naive double loop over Fraction exponents and coefficients."""
+    def low(s):
+        return s.truncation if s.lowest() is None else s.lowest()
+    t = min(a.truncation + low(b), b.truncation + low(a))
+    out = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            e = ea.value + eb.value
+            if e < t:
+                out[e] = out.get(e, 0) + ca * cb
+    return t, {e: c for e, c in out.items() if c}
+
+
 def oracle_partition_count(n):
     """p(n) by bounded-part recursion."""
     def count(n, largest):
@@ -154,6 +181,12 @@ def test_euler_product_matches_oracle_to_200():
         assert ep.coeff(n) in (-1, 0, 1)
 
 
+def test_euler_product_matches_pentagonal_theorem_to_1000():
+    ep = euler_product(1000)
+    assert ep.truncation == 1000
+    assert {int(e.value): c for e, c in ep.terms()} == oracle_pentagonal_coeffs(1000)
+
+
 def test_eta_prefactor_and_grid():
     e = eta(10)
     assert e.denominator == 24
@@ -257,6 +290,15 @@ def _agree(a, b):
 def test_add_mul_commute(a, b):
     assert (a + b) == (b + a)
     assert _agree(a * b, b * a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), series())
+def test_mul_matches_naive_fraction_product(a, b):
+    t, expected = oracle_product(a, b)
+    prod = a * b
+    assert prod.truncation == t
+    assert {e.value: c for e, c in prod.terms()} == expected
 
 
 @settings(max_examples=100, deadline=None)
