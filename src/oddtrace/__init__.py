@@ -9,7 +9,7 @@ eta^3/4, which together machine-check Jacobi's identity
 eta^3 = q^(1/8) sum_n (4n+1) q^(n(2n+1)).
 """
 
-from .qseries import FracPowerSeries, QExponent, eta, euler_product, jacobi_rhs
+from .qseries import FracPowerSeries, eta, euler_product, jacobi_rhs
 from .superalgebras import (
     BasisElement,
     BracketResult,
@@ -42,7 +42,7 @@ from .modcheck import ModularResidual, TauPoint, check_S, check_T, eval_series
 __version__ = "0.1.0"
 
 __all__ = [
-    "FracPowerSeries", "QExponent", "eta", "euler_product", "jacobi_rhs",
+    "FracPowerSeries", "eta", "euler_product", "jacobi_rhs",
     "BasisElement", "BracketResult", "SpectrumEntry", "bracket",
     "g0_square_value", "minimal_model_spectrum",
     "GradedTraceReport", "PBWMonomial", "enumerate_fermion_monomials",

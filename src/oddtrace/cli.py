@@ -79,19 +79,23 @@ def _int_order(config: CommandConfig, minimum: int = 1) -> int:
 
 
 def _cmd_eta(config):
+    """q-expansion of the Dedekind eta function"""
     return 0, eta(_int_order(config)).to_json_dict()
 
 
 def _cmd_eta3(config):
+    """q-expansion of eta cubed"""
     return 0, (eta(_int_order(config)) ** 3).to_json_dict()
 
 
 def _cmd_jacobi_verify(config):
+    """check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))"""
     report = characters.verify_jacobi(config.order)
     return (0 if report.passed else 1), report.to_json_dict()
 
 
 def _cmd_fermion_trace(config):
+    """brute-force fermion odd trace and its eta check"""
     if config.level < 1:
         raise UsageError("--level must be >= 1")
     trace, report = characters._fermion_route(config.level)
@@ -100,6 +104,7 @@ def _cmd_fermion_trace(config):
 
 
 def _cmd_bgg(config):
+    """resolution-route odd trace with resolved signs, checked against eta^3/4"""
     signs, series, report = characters._bgg_route(config.order)
     payload = {
         "signs": signs.to_json_dict(),
@@ -110,6 +115,7 @@ def _cmd_bgg(config):
 
 
 def _cmd_resolve_signs(config):
+    """signs of the resolution terms matched to eta^3/4"""
     try:
         signs = characters.resolve_signs(config.order)
     except characters.SignResolutionError as exc:
@@ -118,11 +124,13 @@ def _cmd_resolve_signs(config):
 
 
 def _cmd_spectrum(config):
+    """N=1 minimal-model central charge and Ramond weights"""
     entries = superalgebras.minimal_model_spectrum(config.p, config.pp)
     return 0, superalgebras.spectrum_to_json(entries)
 
 
 def _cmd_cancellation(config):
+    """signed monomial counts (must vanish above level 0)"""
     if config.level < 1:
         raise UsageError("--level must be >= 1")
     levels = [[n, pbw.signed_monomial_count(n)] for n in range(config.level + 1)]
@@ -141,6 +149,7 @@ def _cmd_cancellation(config):
 
 
 def _cmd_modcheck(config):
+    """numerical S/T transformation residuals for eta and eta^3"""
     order = _int_order(config)
     tau = TauPoint(*config.tau)
     e = eta(order)
@@ -171,6 +180,7 @@ def _cmd_modcheck(config):
 
 
 def _cmd_queer_check(config):
+    """randomized supersymmetry checks and the Q_1 uniqueness probe"""
     rng = random.Random(QUEER_SEED)
     susy_violations = 0
     for _ in range(QUEER_TRIALS):
@@ -279,33 +289,27 @@ def run(config: CommandConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags are left out of the namespace unless given, so that the defaults
+    # live in CommandConfig alone.  `python -OO` strips the docstrings.
+    commands = "".join(f"  {name:<15}{handler.__doc__ or ''}\n"
+                       for name, handler in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="oddtrace",
         description="Exact q-series characters of the free fermion and the "
-                    "c = -21/4 Ramond algebra, with verification reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = {
-        "eta": "q-expansion of the Dedekind eta function",
-        "eta3": "q-expansion of eta cubed",
-        "jacobi-verify": "check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))",
-        "fermion-trace": "brute-force fermion odd trace and its eta check",
-        "bgg": "resolution-route odd trace with resolved signs, checked against eta^3/4",
-        "resolve-signs": "signs of the resolution terms matched to eta^3/4",
-        "spectrum": "N=1 minimal-model central charge and Ramond weights",
-        "cancellation": "signed monomial counts (must vanish above level 0)",
-        "modcheck": "numerical S/T transformation residuals for eta and eta^3",
-        "queer-check": "randomized supersymmetry checks and the Q_1 uniqueness probe",
-    }
-    for name, help_text in subcommands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--order", type=_parse_rational, default=F(100),
-                       metavar="N[/D]", help="series order / comparison bound")
-        p.add_argument("--level", type=int, default=30, help="monomial level cap")
-        p.add_argument("--p", type=int, default=2)
-        p.add_argument("--pp", type=int, default=8, help="p' of the minimal model")
-        p.add_argument("--tau", type=_parse_tau, default=(0.1, 0.9), metavar="RE,IM")
-        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None, help="write the report to a file")
+                    "c = -21/4 Ramond algebra,\nwith verification reports.",
+        epilog="commands:\n" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS)
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help="one of the commands listed below")
+    parser.add_argument("--order", type=_parse_rational, metavar="N[/D]",
+                        help="series order / comparison bound")
+    parser.add_argument("--level", type=int, help="monomial level cap")
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--pp", type=int, help="p' of the minimal model")
+    parser.add_argument("--tau", type=_parse_tau, metavar="RE,IM")
+    parser.add_argument("--format", dest="fmt", choices=("json", "text"))
+    parser.add_argument("--out", help="write the report to a file")
     return parser
 
 
@@ -328,10 +332,7 @@ def _attach_tau_value(argv: List[str]) -> List[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_tau_value(argv))
-    config = CommandConfig(command=args.command, order=args.order, level=args.level,
-                           p=args.p, pp=args.pp, tau=args.tau, fmt=args.fmt,
-                           out=args.out)
-    return run(config)
+    return run(CommandConfig(**vars(args)))
 
 
 if __name__ == "__main__":

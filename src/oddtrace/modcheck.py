@@ -33,6 +33,8 @@ class TauPoint:
     def __post_init__(self):
         if not self.im > 0:
             raise ValueError(f"tau must lie in the upper half-plane (im = {self.im})")
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError(f"tau must be finite (got re = {self.re}, im = {self.im})")
 
     @property
     def z(self) -> complex:
@@ -68,7 +70,7 @@ def eval_series(s: FracPowerSeries, tau: TauPoint) -> Tuple[complex, float]:
     value = 0j
     gmax = 0.0
     for e, c in s.terms():
-        value += float(c) * cmath.exp(TWO_PI * 1j * z * float(e.value))
+        value += float(c) * cmath.exp(TWO_PI * 1j * z * float(e))
         gmax = max(gmax, abs(float(c)))
     qabs = math.exp(-TWO_PI * tau.im)
     tail = max(1.0, gmax) * qabs ** float(s.truncation) / (1.0 - qabs)

@@ -12,63 +12,18 @@ denominators) and build one exact `Fraction` series at the end.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "QExponent",
     "FracPowerSeries",
     "euler_product",
     "eta",
     "jacobi_rhs",
 ]
 
-Rational = Union[int, Fraction, "QExponent"]
-
-
-def _as_fraction(e: Rational) -> Fraction:
-    if isinstance(e, QExponent):
-        return e.value
-    return Fraction(e)
-
-
-@functools.total_ordering
-class QExponent:
-    """An exponent numerator/D on the shared grid of the owning series.
-
-    Compares (and hashes) by exact rational value, so QExponent(2, 24),
-    QExponent(1, 12) and Fraction(1, 12) are interchangeable as keys.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        if denominator <= 0:
-            raise ValueError("exponent grid denominator must be positive")
-        self.numerator = numerator
-        self.denominator = denominator
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (QExponent, int, Fraction)):
-            return self.value == _as_fraction(other)
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, (QExponent, int, Fraction)):
-            return self.value < _as_fraction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"QExponent({self.numerator}, {self.denominator})"
+Rational = Union[int, Fraction]
 
 
 class FracPowerSeries:
@@ -85,7 +40,7 @@ class FracPowerSeries:
                  coeffs: Mapping[int, Fraction]):
         if denominator <= 0:
             raise ValueError("grid denominator must be positive")
-        truncation = _as_fraction(truncation)
+        truncation = Fraction(truncation)
         limit = truncation.numerator * denominator  # k/D >= T  <=>  k * T.den >= limit
         clean: Dict[int, Fraction] = {}
         for k, c in coeffs.items():
@@ -109,7 +64,7 @@ class FracPowerSeries:
         The grid is the lcm of the exponent denominators unless a coarser
         explicit `denominator` (a multiple of that lcm) is requested.
         """
-        exps = {_as_fraction(e): Fraction(c) for e, c in terms.items()}
+        exps = {Fraction(e): Fraction(c) for e, c in terms.items()}
         d = lcm(1, *(e.denominator for e in exps)) if exps else 1
         if denominator is not None:
             if denominator % d != 0:
@@ -129,14 +84,14 @@ class FracPowerSeries:
     @staticmethod
     def monomial(exponent: Rational, coefficient: Rational,
                  truncation: Rational) -> "FracPowerSeries":
-        return FracPowerSeries.from_terms({_as_fraction(exponent): coefficient}, truncation)
+        return FracPowerSeries.from_terms({Fraction(exponent): coefficient}, truncation)
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[QExponent, Fraction]]:
-        """Stored terms sorted by exponent."""
+    def terms(self) -> Iterator[Tuple[Fraction, Fraction]]:
+        """Stored (exponent, coefficient) terms sorted by exponent."""
         for k in sorted(self._coeffs):
-            yield QExponent(k, self.denominator), self._coeffs[k]
+            yield Fraction(k, self.denominator), self._coeffs[k]
 
     def support(self) -> List[Fraction]:
         return [Fraction(k, self.denominator) for k in sorted(self._coeffs)]
@@ -155,7 +110,7 @@ class FracPowerSeries:
 
     def coeff(self, e: Rational) -> Fraction:
         """Coefficient at exponent e; raises if e is not below the truncation."""
-        e = _as_fraction(e)
+        e = Fraction(e)
         if e >= self.truncation:
             raise ValueError(f"exponent {e} is not below the truncation {self.truncation}")
         k = e * self.denominator
@@ -234,7 +189,7 @@ class FracPowerSeries:
 
     def shift(self, e: Rational) -> "FracPowerSeries":
         """Multiply by the exact monomial q^e (truncation shifts with it)."""
-        e = _as_fraction(e)
+        e = Fraction(e)
         d = lcm(self.denominator, e.denominator)
         s = d // self.denominator
         off = int(e * d)
@@ -291,7 +246,7 @@ class FracPowerSeries:
         Returns None when the two series agree exactly on every exponent
         strictly below `order`; raises if `order` exceeds either truncation.
         """
-        order = _as_fraction(order)
+        order = Fraction(order)
         if order > self.truncation or order > other.truncation:
             raise ValueError(
                 f"order {order} exceeds a truncation ({self.truncation}, {other.truncation})")
@@ -343,15 +298,6 @@ class FracPowerSeries:
         if len(self._coeffs) > 6:
             body += " + ..."
         return f"FracPowerSeries({body or '0'}; T={self.truncation}, D={self.denominator})"
-
-    def pretty(self, max_terms: int = 12) -> str:
-        parts = []
-        for (e, c) in self.terms():
-            if len(parts) == max_terms:
-                parts.append("...")
-                break
-            parts.append(f"{'+' if c > 0 and parts else ''}{c}*q^({e.value})")
-        return " ".join(parts) if parts else "0"
 
 
 # -- named series -----------------------------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from oddtrace import characters
-from oddtrace.cli import COMMANDS, VERIFICATION_COMMANDS, CommandConfig, main, run
+from oddtrace.cli import (COMMANDS, VERIFICATION_COMMANDS, CommandConfig, build_parser,
+                          main, run)
 
 F = Fraction
 
@@ -120,6 +121,12 @@ def test_modcheck_rejects_lower_half_plane(capsys):
     assert code == 2
 
 
+def test_modcheck_rejects_infinite_tau_naming_it(capsys):
+    code = main(["modcheck", "--tau=0.1,inf"])
+    assert code == 2
+    assert "inf" in capsys.readouterr().err
+
+
 def test_modcheck_visible_truncation_error_exits_1(capsys):
     # A one-term eta expansion leaves S-residuals ~|q|, far above tolerance.
     code, out = _capture(capsys, ["modcheck", "--order", "1"])
@@ -140,6 +147,31 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["jacobi-verify", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_parser_defaults_are_command_config_defaults(name):
+    assert CommandConfig(**vars(build_parser().parse_args([name]))) == CommandConfig(name)
+
+
+def test_help_lists_every_command_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, description in [
+        ("eta", "q-expansion of the Dedekind eta function"),
+        ("eta3", "q-expansion of eta cubed"),
+        ("jacobi-verify", "check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))"),
+        ("fermion-trace", "brute-force fermion odd trace and its eta check"),
+        ("bgg", "resolution-route odd trace with resolved signs, checked against eta^3/4"),
+        ("resolve-signs", "signs of the resolution terms matched to eta^3/4"),
+        ("spectrum", "N=1 minimal-model central charge and Ramond weights"),
+        ("cancellation", "signed monomial counts (must vanish above level 0)"),
+        ("modcheck", "numerical S/T transformation residuals for eta and eta^3"),
+        ("queer-check", "randomized supersymmetry checks and the Q_1 uniqueness probe"),
+    ]:
+        assert any(line.split() == [name, *description.split()] for line in lines), name
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

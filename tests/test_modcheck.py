@@ -19,6 +19,15 @@ def test_tau_point_requires_upper_half_plane():
         TauPoint(0.3, 0.0)
 
 
+def test_tau_point_requires_finite_parts_and_names_them():
+    with pytest.raises(ValueError, match="nan"):
+        TauPoint(float("nan"), 0.9)
+    with pytest.raises(ValueError, match="inf"):
+        TauPoint(0.1, float("inf"))
+    with pytest.raises(ValueError, match="inf"):
+        TauPoint(float("-inf"), 0.9)
+
+
 def test_eval_constant_series():
     # The tail cannot be literally zero: exactness beyond the truncation is
     # not representable, so the bound is |q|^T -- negligible, not absent.
