@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -265,6 +266,20 @@ def render_report(payload, fmt: str) -> str:
     return "\n".join(_render_text(payload)) + "\n"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into
+    place, so that a failed write never leaves a half-written report."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def run(config: CommandConfig) -> int:
     """Dispatch one command, writing its report to `out` or stdout."""
     handler = COMMANDS.get(config.command)
@@ -281,8 +296,7 @@ def run(config: CommandConfig) -> int:
         return 2
     text = render_report(payload, config.fmt)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(config.out, text)
     else:
         sys.stdout.write(text)
     return code

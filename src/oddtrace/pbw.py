@@ -96,6 +96,17 @@ def enumerate_fermion_monomials(level: int) -> List[PBWMonomial]:
             for top in (0, 1)]
 
 
+def _partition_pairs(level: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(bosonic, fermionic) parts of the Verma-module monomials of a level,
+    by bosonic weight j; the distinct partitions of level - j are listed
+    once per j."""
+    for j in range(level + 1):
+        fermionic = list(_distinct_partitions(level - j))
+        for bos in _partitions(j):
+            for ferm in fermionic:
+                yield bos, ferm
+
+
 def enumerate_ns_monomials(level: int, top_dim: int) -> List[PBWMonomial]:
     """All Verma-module monomials of the given level over a top space of
     dimension 1 (w = v) or 2 (w in {v, G_0 v})."""
@@ -103,23 +114,19 @@ def enumerate_ns_monomials(level: int, top_dim: int) -> List[PBWMonomial]:
         raise ValueError("level must be nonnegative")
     if top_dim not in (1, 2):
         raise ValueError("top_dim must be 1 or 2")
-    out = []
-    for j in range(level + 1):
-        for bos in _partitions(j):
-            for ferm in _distinct_partitions(level - j):
-                for top in range(top_dim):
-                    out.append(PBWMonomial(bos, ferm, top))
-    return out
+    return [PBWMonomial(bos, ferm, top)
+            for bos, ferm in _partition_pairs(level)
+            for top in range(top_dim)]
 
 
 def signed_monomial_count(level: int) -> int:
     """Sum of (-1)^t over level monomials (single top vector), t the number
     of odd generators.  Equals 1 at level 0 and vanishes at every positive
-    level: odd and even fermionic lengths pair off exactly."""
+    level: odd and even fermionic lengths pair off exactly.  Streams the
+    monomials' parts without building them."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return sum((-1) ** m.fermionic_length
-               for m in enumerate_ns_monomials(level, top_dim=1))
+    return sum(-1 if len(ferm) & 1 else 1 for _, ferm in _partition_pairs(level))
 
 
 # ---------------------------------------------------------------------------

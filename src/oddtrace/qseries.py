@@ -5,15 +5,15 @@ exponent grid (1/D)Z together with a truncation bound T: the series is exact
 for every exponent strictly below T and says nothing about exponents >= T.
 Binary operations merge grids to the lcm and propagate the tightest sound
 truncation.  All coefficients are `fractions.Fraction`; nothing in this
-module touches floating point.  Products and `euler_product` compute on
-integer numerators (each operand scaled by the lcm of its coefficient
-denominators) and build one exact `Fraction` series at the end.
+module touches floating point.  Products, inverses and `euler_product`
+compute on integer numerators (each operand scaled by the lcm of its
+coefficient denominators) and build one exact `Fraction` series at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -209,33 +209,40 @@ class FracPowerSeries:
     def invert(self) -> "FracPowerSeries":
         """Multiplicative inverse q^{-e} * u^{-1} for self = q^e * u, u(0) != 0.
 
-        Standard unit recurrence on the 1/D grid:
-            b_0 = 1/c_0,   b_n = -(1/c_0) * sum_{k=1..n} u_k b_{n-k}.
-        The result is exact below T - 2e.
+        Standard unit recurrence on the 1/D grid, run on integers: with L the
+        lcm of the coefficient denominators, U = L*u has integer
+        coefficients U_k, and u^{-1} has coefficients L * B_n / U_0^(n+1) for
+            B_0 = 1,   B_n = -sum_{k=1..n} U_k U_0^(k-1) B_{n-k}.
+        Keys are counted in steps of the gcd of u's keys, which keeps the
+        powers of U_0 small.  The result is exact below T - 2e.
         """
         if not self._coeffs:
             raise ValueError("the zero series has no inverse")
         d = self.denominator
         e_key = min(self._coeffs)
-        c0 = self._coeffs[e_key]
-        u = {k - e_key: c for k, c in self._coeffs.items()}  # unit part
+        scale, nums = self._numerators()
+        u = {k - e_key: n for k, n in nums.items()}  # unit part, times L
+        step = gcd(*u) or 1
+        u0 = u[0]
         t_unit = self.truncation - Fraction(e_key, d)  # exactness of u and of u^{-1}
-        n_max = (t_unit * d).__ceil__() - 1  # largest grid key below t_unit
-        ukeys = sorted(k for k in u if k > 0)
-        inv0 = 1 / c0
-        b: Dict[int, Fraction] = {0: inv0}
+        n_max = ((t_unit * d).__ceil__() - 1) // step  # largest step below t_unit
+        weights = [(k // step, u[k] * u0 ** (k // step - 1)) for k in sorted(u) if k > 0]
+        b = [1]
         for n in range(1, n_max + 1):
-            s = Fraction(0)
-            for k in ukeys:
+            s = 0
+            for k, w in weights:
                 if k > n:
                     break
-                prev = b.get(n - k)
-                if prev is not None:
-                    s += u[k] * prev
-            if s:
-                b[n] = -s * inv0
+                s += w * b[n - k]
+            b.append(-s)
+        out: Dict[int, Fraction] = {}
+        power = u0
+        for n, bn in enumerate(b):
+            if bn:
+                out[n * step - e_key] = Fraction(scale * bn, power)
+            power *= u0
         t_out = t_unit - Fraction(e_key, d)
-        return FracPowerSeries(d, t_out, {k - e_key: c for k, c in b.items()})
+        return FracPowerSeries(d, t_out, out)
 
     # -- comparison --------------------------------------------------------
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -45,14 +47,37 @@ def _eye(n: int) -> Matrix:
     return tuple(tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n))
 
 
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+IntMatrix = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)
+def _numerators(m: Matrix) -> IntMatrix:
+    """(L, L * m) with L the lcm of the entry denominators."""
+    scale = lcm(1, *(x.denominator for row in m for x in row))
+    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                        for row in m)
+
+
+def _sum_of_products(*pairs: Tuple[IntMatrix, IntMatrix]) -> Matrix:
+    """Sum of the matrix products a b over the (a, b) pairs, such as
+    Xa Xb + Ya Yb, with each operand given by `_numerators`.
+
+    The integer products are accumulated over one common denominator, and
+    each entry becomes a single Fraction at the end.  Pairs with a zero
+    factor are skipped.
+    """
+    rows = len(pairs[0][0][1])
+    # A right factor with no rows (an empty block) does not show its width.
+    cols = max((len(b[0]) for _, (_, b) in pairs if b), default=0)
+    terms = [(la * lb, a, tuple(zip(*b))) for (la, a), (lb, b) in pairs
+             if any(map(any, a)) and any(map(any, b))]
+    den = lcm(1, *(s for s, _, _ in terms))
+    acc = [[0] * cols for _ in range(rows)]
+    for s, a, bcols in terms:
+        f = den // s
+        for row, out in zip(a, acc):
+            for j, col in enumerate(bcols):
+                out[j] += f * sum(map(mul, row, col))
+    return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
 
 
 def _mat_trace(a: Matrix) -> Fraction:
@@ -111,8 +136,9 @@ def queer_mul(a: QueerElement, b: QueerElement) -> QueerElement:
     """Block product: (Xa Xb + Ya Yb, Xa Yb + Ya Xb)."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    x = _mat_add(_mat_mul(a.x, b.x), _mat_mul(a.y, b.y))
-    y = _mat_add(_mat_mul(a.x, b.y), _mat_mul(a.y, b.x))
+    ax, ay, bx, by = map(_numerators, (a.x, a.y, b.x, b.y))
+    x = _sum_of_products((ax, bx), (ay, by))
+    y = _sum_of_products((ax, by), (ay, bx))
     return QueerElement(a.n, x, y)
 
 
@@ -172,12 +198,14 @@ class EndElement:
 def end_mul(x: EndElement, y: EndElement) -> EndElement:
     if (x.d0, x.d1) != (y.d0, y.d1):
         raise ValueError("size mismatch")
+    xa, xb, xc, xd = map(_numerators, (x.a, x.b, x.c, x.d))
+    ya, yb, yc, yd = map(_numerators, (y.a, y.b, y.c, y.d))
     return EndElement(
         x.d0, x.d1,
-        _mat_add(_mat_mul(x.a, y.a), _mat_mul(x.b, y.c)),
-        _mat_add(_mat_mul(x.a, y.b), _mat_mul(x.b, y.d)),
-        _mat_add(_mat_mul(x.c, y.a), _mat_mul(x.d, y.c)),
-        _mat_add(_mat_mul(x.c, y.b), _mat_mul(x.d, y.d)),
+        _sum_of_products((xa, ya), (xb, yc)),
+        _sum_of_products((xa, yb), (xb, yd)),
+        _sum_of_products((xc, ya), (xd, yc)),
+        _sum_of_products((xc, yb), (xd, yd)),
     )
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -176,10 +178,27 @@ def test_help_lists_every_command_with_its_description(capsys):
 
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
+    _, stdout = _capture(capsys, ["jacobi-verify", "--order", "20"])
     code = main(["jacobi-verify", "--order", "20", "--out", str(path)])
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(path.read_text())["pass"] is True
+    assert path.read_bytes() == stdout.encode()
+    assert os.listdir(tmp_path) == ["report.json"]  # no temporary file left
+
+
+def test_failed_out_write_keeps_the_old_report(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("old report\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(["spectrum", "--out", str(path)])
+    assert path.read_text() == "old report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_text_format(capsys):
@@ -204,6 +223,21 @@ def test_byte_determinism(capsys, argv):
     _, first = _capture(capsys, argv)
     _, second = _capture(capsys, argv)
     assert first.encode() == second.encode()
+
+
+# SHA-256 of the JSON reports before the integer queer products and the
+# streamed signed counts; both kernels must reproduce them byte for byte.
+@pytest.mark.parametrize("argv, digest", [
+    (["cancellation", "--level", "25"],
+     "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
+    (["queer-check"],
+     "7a331de7a2240a815cfd3c0ca361dc13b6a914b64e412c10f83a925c50dbd92b"),
+    (["fermion-trace", "--level", "20"],
+     "2d87845e3dd77c00c364902b444398d40cce322d0ec5dd6cf858d22162bf92fe"),
+])
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    _, out = _capture(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_rationals_in_lowest_terms(capsys):

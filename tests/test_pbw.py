@@ -4,6 +4,8 @@ import pytest
 
 from oddtrace.pbw import (
     FERMION_PREFACTOR_EXPONENT,
+    _distinct_partitions,
+    _partitions,
     PBWMonomial,
     bgg_weight,
     enumerate_fermion_monomials,
@@ -118,6 +120,22 @@ def test_ns_top_dim_doubles_and_validates():
         enumerate_fermion_monomials(-1)
 
 
+def nested_ns_monomials(level, top_dim):
+    """The enumeration order of record: bosonic weight j, then the bosonic
+    partitions of j, the distinct partitions of level - j and the top index."""
+    return [PBWMonomial(bos, ferm, top)
+            for j in range(level + 1)
+            for bos in _partitions(j)
+            for ferm in _distinct_partitions(level - j)
+            for top in range(top_dim)]
+
+
+@pytest.mark.parametrize("top_dim", [1, 2])
+def test_ns_monomials_keep_their_order(top_dim):
+    for n in range(13):
+        assert enumerate_ns_monomials(n, top_dim) == nested_ns_monomials(n, top_dim)
+
+
 def test_enumeration_duplicate_free():
     for n in range(12):
         fm = enumerate_fermion_monomials(n)
@@ -139,6 +157,12 @@ def test_signed_count_level_zero_and_one():
 def test_signed_count_vanishes_up_to_20():
     for n in range(1, 21):
         assert signed_monomial_count(n) == 0
+
+
+def test_signed_count_streams_the_enumerated_monomials():
+    for n in range(15):
+        assert signed_monomial_count(n) == sum(
+            (-1) ** m.fermionic_length for m in enumerate_ns_monomials(n, 1))
 
 
 def test_signed_count_matches_product_identity():

@@ -305,6 +305,39 @@ def test_unit_times_inverse(a):
     assert prod.eq_to_order(FracPowerSeries.one(prod.truncation), prod.truncation)
 
 
+def fraction_inverse(s):
+    """The unit recurrence b_n = -(1/c_0) sum_k u_k b_{n-k} on Fractions."""
+    d = s.denominator
+    (e, c0), *_ = s.terms()
+    u = {int((x - e) * d): c for x, c in s.terms()}
+    t_unit = s.truncation - e
+    b = {0: 1 / c0}
+    for n in range(1, (t_unit * d).__ceil__()):
+        b[n] = -sum((u[k] * b[n - k] for k in u if 0 < k <= n), F(0)) / c0
+    return FracPowerSeries(d, t_unit - e, {n - int(e * d): c for n, c in b.items()})
+
+
+@st.composite
+def invertible(draw):
+    """A series q^e * u on the grids 1, 8 or 24, with a rational u(0) != 0."""
+    d = draw(st.sampled_from([1, 8, 24]))
+    t = F(draw(st.integers(2, 6)))
+    low = draw(st.integers(-2 * d, d - 1))
+    coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    keys = st.integers(low + 1, int(t) * d - 1)
+    coeffs = draw(st.dictionaries(keys, coeff, max_size=6))
+    coeffs[low] = draw(coeff.filter(bool))
+    return FracPowerSeries(d, t, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible())
+def test_invert_matches_fraction_recurrence(a):
+    inv = a.invert()
+    assert inv == fraction_inverse(a)
+    assert inv.denominator == a.denominator
+
+
 @settings(max_examples=100, deadline=None)
 @given(series(), series())
 def test_no_stored_zeros_and_grid_closure(a, b):

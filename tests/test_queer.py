@@ -72,6 +72,61 @@ def test_queer_mul_size_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# integer-numerator products against a plain Fraction triple loop
+# ---------------------------------------------------------------------------
+
+def ref_mat_mul(a, b, rows, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def ref_mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@st.composite
+def block(draw, rows, cols):
+    """A rows x cols block of rationals with denominators up to 9, often zero."""
+    if draw(st.booleans()):
+        return [[F(0)] * cols for _ in range(rows)]
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _as_lists(m):
+    assert all(type(x) is Fraction for row in m for x in row)
+    return [list(row) for row in m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_queer_mul_matches_fraction_reference(data, n):
+    xa, ya, xb, yb = (data.draw(block(n, n)) for _ in range(4))
+    got = queer_mul(QueerElement.from_lists(xa, ya), QueerElement.from_lists(xb, yb))
+    assert _as_lists(got.x) == ref_mat_add(ref_mat_mul(xa, xb, n, n, n),
+                                           ref_mat_mul(ya, yb, n, n, n))
+    assert _as_lists(got.y) == ref_mat_add(ref_mat_mul(xa, yb, n, n, n),
+                                           ref_mat_mul(ya, xb, n, n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+def test_end_mul_matches_fraction_reference(data, d0, d1):
+    shapes = [(d0, d0), (d0, d1), (d1, d0), (d1, d1)]
+    x = [data.draw(block(r, c)) for r, c in shapes]
+    y = [data.draw(block(r, c)) for r, c in shapes]
+    got = end_mul(EndElement.from_lists(d0, d1, *x), EndElement.from_lists(d0, d1, *y))
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = x, y
+    expected = [
+        ref_mat_add(ref_mat_mul(xa, ya, d0, d0, d0), ref_mat_mul(xb, yc, d0, d1, d0)),
+        ref_mat_add(ref_mat_mul(xa, yb, d0, d0, d1), ref_mat_mul(xb, yd, d0, d1, d1)),
+        ref_mat_add(ref_mat_mul(xc, ya, d1, d0, d0), ref_mat_mul(xd, yc, d1, d1, d0)),
+        ref_mat_add(ref_mat_mul(xc, yb, d1, d0, d1), ref_mat_mul(xd, yd, d1, d1, d1)),
+    ]
+    assert [_as_lists(m) for m in (got.a, got.b, got.c, got.d)] == expected
+
+
+# ---------------------------------------------------------------------------
 # odd_trace
 # ---------------------------------------------------------------------------
 
