@@ -14,7 +14,9 @@ import json
 import os
 import random
 import re
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -266,18 +268,62 @@ def render_report(payload, fmt: str) -> str:
     return "\n".join(_render_text(payload)) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it into
-    place, so that a failed write never leaves a half-written report."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x")
+def _write_report(path: str, text: str) -> None:
+    """Write `text` to `path`, replacing a plain file atomically.
+
+    When `path` is missing, or is a writable regular file with one link, the
+    report goes to a fresh temporary file beside it, which gets the old
+    file's mode (a new file gets 0o666 less the umask) and is renamed into
+    place, so a failed write never leaves a half-written report.  Anything
+    else is written through, as `open(path, "w")` does: a device such as
+    /dev/null, a FIFO, a symlink, a hard-linked or read-only file, a file
+    whose owner or group the temporary file would not keep, or a file in a
+    directory that does not let us create one.
+    """
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        old = os.lstat(path)
+    except OSError:
+        old = None
+    if old is None or (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                       and os.access(path, os.W_OK)):
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                       prefix=os.path.basename(path) + ".",
+                                       suffix=".tmp")
+        except OSError:
+            pass
+        else:
+            if _replace(fd, tmp, path, old, text):
+                return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _replace(fd: int, tmp: str, path: str, old, text: str) -> bool:
+    """Write `text` to the temporary file `tmp`, open as `fd`, and rename it
+    over `path`.  Return False, with `tmp` removed and `path` untouched, when
+    `tmp` does not have the owner and group of the old file `old`."""
+    try:
+        with os.fdopen(fd, "w") as fh:
+            new = os.fstat(fd)
+            keeps = old is None or (new.st_uid, new.st_gid) == (old.st_uid, old.st_gid)
+            if keeps:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode) if old else 0o666 & ~_umask())
+                fh.write(text)
+        if keeps:
+            os.replace(tmp, path)
+            return True
     except BaseException:
         os.remove(tmp)
         raise
+    os.remove(tmp)
+    return False
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def run(config: CommandConfig) -> int:
@@ -296,7 +342,7 @@ def run(config: CommandConfig) -> int:
         return 2
     text = render_report(payload, config.fmt)
     if config.out:
-        _write_atomic(config.out, text)
+        _write_report(config.out, text)
     else:
         sys.stdout.write(text)
     return code

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "FracPowerSeries",
@@ -24,6 +24,13 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
+
+
+def _clear_denominators(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
+    """(L, [L * v for v in values]) as ints, with L the lcm of the denominators."""
+    values = list(values)
+    scale = lcm(1, *(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 class FracPowerSeries:
@@ -176,9 +183,8 @@ class FracPowerSeries:
 
     def _numerators(self) -> Tuple[int, Dict[int, int]]:
         """(L, {key: L * coeff}) with L the lcm of the coefficient denominators."""
-        scale = lcm(1, *(c.denominator for c in self._coeffs.values()))
-        return scale, {k: c.numerator * (scale // c.denominator)
-                       for k, c in self._coeffs.items()}
+        scale, nums = _clear_denominators(self._coeffs.values())
+        return scale, dict(zip(self._coeffs, nums))
 
     __rmul__ = __mul__
 

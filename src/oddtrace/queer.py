@@ -18,6 +18,8 @@ from math import lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
+from .qseries import _clear_denominators
+
 __all__ = [
     "QueerElement",
     "EndElement",
@@ -52,9 +54,9 @@ IntMatrix = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
 def _numerators(m: Matrix) -> IntMatrix:
     """(L, L * m) with L the lcm of the entry denominators."""
-    scale = lcm(1, *(x.denominator for row in m for x in row))
-    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
-                        for row in m)
+    scale, nums = _clear_denominators([x for row in m for x in row])
+    w = len(m[0]) if m else 0
+    return scale, tuple(tuple(nums[i * w:(i + 1) * w]) for i in range(len(m)))
 
 
 def _sum_of_products(*pairs: Tuple[IntMatrix, IntMatrix]) -> Matrix:

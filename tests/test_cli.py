@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,66 @@ def test_failed_out_write_keeps_the_old_report(tmp_path, capsys, monkeypatch):
         main(["spectrum", "--out", str(path)])
     assert path.read_text() == "old report\n"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_to_a_device_writes_through(capsys):
+    code = main(["jacobi-verify", "--order", "20", "--out", os.devnull])
+    assert code == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_writes_through_a_symlink_and_a_hard_link(tmp_path, capsys):
+    _, stdout = _capture(capsys, ["jacobi-verify", "--order", "20"])
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.json"
+    os.link(target, hard)
+    main(["jacobi-verify", "--order", "20", "--out", str(link)])
+    assert link.is_symlink()
+    assert target.read_text() == hard.read_text() == stdout
+    os.remove(link)
+    target.write_text("old\n")
+    main(["jacobi-verify", "--order", "20", "--out", str(hard)])
+    assert os.path.samefile(target, hard)
+    assert target.read_text() == stdout
+    assert sorted(os.listdir(tmp_path)) == ["hard.json", "target.json"]
+
+
+def test_out_keeps_the_mode_of_a_replaced_report(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    new = tmp_path / "new.json"
+    main(["jacobi-verify", "--order", "20", "--out", str(old)])
+    main(["jacobi-verify", "--order", "20", "--out", str(new)])
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~mask
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                    reason="giving a file to another owner needs root")
+def test_out_keeps_the_owner_of_a_replaced_report(tmp_path, capsys):
+    _, stdout = _capture(capsys, ["jacobi-verify", "--order", "20"])
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    os.chown(path, 4321, 4321)
+    main(["jacobi-verify", "--order", "20", "--out", str(path)])
+    assert (path.stat().st_uid, path.stat().st_gid) == (4321, 4321)
+    assert path.read_text() == stdout
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_ignores_a_stale_temporary_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    stale = tmp_path / f"report.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run\n")
+    assert main(["jacobi-verify", "--order", "20", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["pass"] is True
+    assert sorted(os.listdir(tmp_path)) == ["report.json", stale.name]
 
 
 def test_text_format(capsys):

@@ -157,9 +157,6 @@ def test_signed_count_level_zero_and_one():
 def test_signed_count_vanishes_up_to_20():
     for n in range(1, 21):
         assert signed_monomial_count(n) == 0
-
-
-def test_signed_count_streams_the_enumerated_monomials():
     for n in range(15):
         assert signed_monomial_count(n) == sum(
             (-1) ** m.fermionic_length for m in enumerate_ns_monomials(n, 1))
