@@ -28,9 +28,9 @@ from .pbw import (
     verma_leading_trace,
 )
 from .characters import (
-    SignAssignment,
     VerificationReport,
     bgg_odd_trace,
+    resolution_signs,
     resolve_signs,
     verify_bgg_equals_eta_cubed,
     verify_fermion_eta,
@@ -48,7 +48,7 @@ __all__ = [
     "GradedTraceReport", "PBWMonomial", "enumerate_fermion_monomials",
     "enumerate_ns_monomials", "fermion_odd_trace", "signed_monomial_count",
     "verma_leading_trace",
-    "SignAssignment", "VerificationReport", "bgg_odd_trace", "resolve_signs",
+    "VerificationReport", "bgg_odd_trace", "resolution_signs", "resolve_signs",
     "verify_bgg_equals_eta_cubed", "verify_fermion_eta", "verify_jacobi",
     "EndElement", "QueerElement", "odd_trace", "queer_mul", "supertrace",
     "ModularResidual", "TauPoint", "check_S", "check_T", "eval_series",

@@ -7,28 +7,30 @@ Two independent routes to the same odd-trace character are compared here:
   in the resolution of the irreducible weight -3/32 module) against
   eta(tau)^3 / 4.
 
-The per-module signs of the alternating sum are not derived structurally;
-`resolve_signs` pins each one empirically against the eta^3 coefficient at
-its exponent, which is legitimate because the term exponents 1/8 + k(2k+1)
-are pairwise distinct.
+The sign of each module in the alternating sum is the Euler-characteristic
+sign (-1)^d of its homological degree d in the BGG-type resolution.  The
+degree is the position of the index k in exponent order 1/8 + k(2k+1):
+k = 0, -1, 1, -2, 2, ... has d = 0, 1, 2, 3, 4, ...  `resolve_signs` is a
+diagnostic that instead reads each sign off the eta^3/4 coefficient at its
+exponent (the term exponents are pairwise distinct); it must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from math import ceil, floor
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import pbw
-from .qseries import FracPowerSeries, eta, jacobi_rhs
+from .qseries import FracPowerSeries, eta, jacobi_indices, jacobi_rhs
 
 __all__ = [
-    "SignAssignment",
     "VerificationReport",
     "SignResolutionError",
     "compare_series",
     "bgg_odd_trace",
+    "resolution_signs",
     "resolve_signs",
     "verify_jacobi",
     "verify_fermion_eta",
@@ -42,68 +44,19 @@ class SignResolutionError(ValueError):
     """No +-1 assignment reproduces the target coefficients."""
 
 
-class SignAssignment:
-    """Map from the resolution index k to +-1 over a contiguous k-range."""
-
-    def __init__(self, signs: Mapping[int, int]):
-        signs = {int(k): int(s) for k, s in signs.items()}
-        if any(s not in (1, -1) for s in signs.values()):
-            raise ValueError("signs must be +1 or -1")
-        if signs:
-            lo, hi = min(signs), max(signs)
-            if set(signs) != set(range(lo, hi + 1)):
-                raise ValueError("sign domain must be a contiguous range of k")
-        self._signs: Dict[int, int] = dict(sorted(signs.items()))
-
-    def __getitem__(self, k: int) -> int:
-        return self._signs[k]
-
-    def __contains__(self, k: int) -> bool:
-        return k in self._signs
-
-    def __len__(self) -> int:
-        return len(self._signs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SignAssignment):
-            return self._signs == other._signs
-        if isinstance(other, dict):
-            return self._signs == other
-        return NotImplemented
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._signs.items())
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"signs": [[k, s] for k, s in self._signs.items()]}
-        if self._signs:
-            out["kmin"] = min(self._signs)
-            out["kmax"] = max(self._signs)
-        return out
-
-    def __repr__(self):
-        return f"SignAssignment({self._signs})"
+def _resolution_indices(max_exponent: Fraction) -> List[int]:
+    """Resolution indices k with exponent 1/8 + k(2k+1) <= max_exponent,
+    in exponent order (position = homological degree)."""
+    return jacobi_indices(floor(Fraction(max_exponent) - F(1, 8)) + 1)
 
 
-def _bgg_indices(max_exponent: Fraction, inclusive: bool) -> List[int]:
-    """Resolution indices k ordered by exponent 1/8 + k(2k+1)."""
-    bound = Fraction(max_exponent) - F(1, 8)
-    ks = []
-    a = 0
-    while True:
-        hit = False
-        for k in ((a, -a) if a else (0,)):
-            off = k * (2 * k + 1)
-            if off < bound or (inclusive and off == bound):
-                ks.append(k)
-                hit = True
-        if not hit and a > 0:
-            break
-        a += 1
-    return sorted(ks, key=lambda k: k * (2 * k + 1))
+def resolution_signs(max_exponent: Fraction) -> Dict[int, int]:
+    """The sign (-1)^d of each resolution module of degree d whose exponent
+    is at most max_exponent, keyed by its index k."""
+    return {k: (-1) ** d for d, k in enumerate(_resolution_indices(max_exponent))}
 
 
-def bgg_odd_trace(max_exponent: Fraction, signs: SignAssignment) -> FracPowerSeries:
+def bgg_odd_trace(max_exponent: Fraction, signs: Mapping[int, int]) -> FracPowerSeries:
     """Alternating sum of Verma leading traces, truncated below max_exponent.
 
     Term k contributes signs[k] * |4k+1|/4 at exponent 1/8 + k(2k+1); the
@@ -112,11 +65,11 @@ def bgg_odd_trace(max_exponent: Fraction, signs: SignAssignment) -> FracPowerSer
     """
     max_exponent = Fraction(max_exponent)
     terms: Dict[Fraction, Fraction] = {}
-    for k in _bgg_indices(max_exponent, inclusive=False):
+    for k in jacobi_indices(max_exponent - F(1, 8)):
         if k not in signs:
             raise ValueError(f"sign assignment does not cover k={k} "
                              f"(exponent {F(1, 8) + k * (2 * k + 1)} below {max_exponent})")
-        exponent, value = pbw.verma_leading_trace(k, pbw.BGG_CENTRAL_CHARGE, signs[k])
+        exponent, value = pbw.verma_leading_trace(k, signs[k])
         terms[exponent] = value
     return FracPowerSeries.from_terms(terms, max_exponent, denominator=8)
 
@@ -127,34 +80,23 @@ def _eta_cubed_quarter(order: Fraction) -> FracPowerSeries:
     return (eta(n) ** 3) * F(1, 4)
 
 
-def resolve_signs(max_exponent: Fraction) -> SignAssignment:
+def resolve_signs(max_exponent: Fraction) -> Dict[int, int]:
     """The unique sign per index k (exponent window inclusive) matching eta^3/4.
 
     Each k owns one exponent, so dividing the target coefficient by the term
     magnitude |4k+1|/4 must give exactly +-1; anything else falsifies the
     leading-trace computation and raises SignResolutionError.
     """
-    max_exponent = Fraction(max_exponent)
-    ks = _bgg_indices(max_exponent, inclusive=True)
-    if not ks:
-        return SignAssignment({})
-    return _match_signs(ks, _eta_cubed_quarter(max_exponent))
-
-
-def _match_signs(ks: List[int], target: FracPowerSeries) -> SignAssignment:
-    """The sign of each index k in `ks` read off the target eta^3/4."""
+    target = _eta_cubed_quarter(max_exponent)
     signs: Dict[int, int] = {}
-    for k in ks:
-        exponent, magnitude = pbw.verma_leading_trace(k, pbw.BGG_CENTRAL_CHARGE, +1)
+    for k in _resolution_indices(max_exponent):
+        exponent, magnitude = pbw.verma_leading_trace(k, +1)
         ratio = target.coeff(exponent) / magnitude
-        if ratio == 1:
-            signs[k] = 1
-        elif ratio == -1:
-            signs[k] = -1
-        else:
+        if ratio not in (1, -1):
             raise SignResolutionError(
                 f"no sign matches at k={k}: target/magnitude = {ratio}")
-    return SignAssignment(signs)
+        signs[k] = int(ratio)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +167,13 @@ def verify_bgg_equals_eta_cubed(order: Fraction) -> VerificationReport:
 
 
 def _bgg_route(order: Fraction
-               ) -> Tuple[SignAssignment, FracPowerSeries, VerificationReport]:
-    """Resolved signs, the resolution-route series and its check against
-    eta^3/4, with the target built once for both the signs and the check."""
+               ) -> Tuple[Dict[int, int], FracPowerSeries, VerificationReport]:
+    """Derived signs, the resolution-route series and its check against
+    eta^3/4, which is built only for the comparison."""
     order = Fraction(order)
     if order < F(1, 8):
         raise ValueError("order must be at least 1/8")
-    target = _eta_cubed_quarter(order)
-    signs = _match_signs(_bgg_indices(order, inclusive=True), target)
+    signs = resolution_signs(order)
     lhs = bgg_odd_trace(order, signs)
-    return signs, lhs, compare_series("bgg-eta-cubed-quarter", lhs, target, order)
+    return signs, lhs, compare_series("bgg-eta-cubed-quarter", lhs,
+                                      _eta_cubed_quarter(order), order)

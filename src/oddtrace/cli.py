@@ -19,7 +19,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
 from .modcheck import TauPoint, check_S, check_T
@@ -110,7 +110,7 @@ def _cmd_bgg(config):
     """resolution-route odd trace with resolved signs, checked against eta^3/4"""
     signs, series, report = characters._bgg_route(config.order)
     payload = {
-        "signs": signs.to_json_dict(),
+        "signs": _signs_json(signs),
         "series": series.to_json_dict(),
         "verification": report.to_json_dict(),
     }
@@ -123,7 +123,16 @@ def _cmd_resolve_signs(config):
         signs = characters.resolve_signs(config.order)
     except characters.SignResolutionError as exc:
         return 1, {"error": str(exc)}
-    return 0, signs.to_json_dict()
+    return 0, _signs_json(signs)
+
+
+def _signs_json(signs: Mapping[int, int]) -> dict:
+    """The [k, sign] pairs in k order, with kmin and kmax when not empty."""
+    out: dict = {"signs": [[k, signs[k]] for k in sorted(signs)]}
+    if signs:
+        out["kmin"] = min(signs)
+        out["kmax"] = max(signs)
+    return out
 
 
 def _cmd_spectrum(config):
@@ -334,10 +343,7 @@ def run(config: CommandConfig) -> int:
         return 2
     try:
         code, payload = handler(config)
-    except characters.SignResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_report(payload, config.fmt)

@@ -205,17 +205,15 @@ def bgg_weight(k: int) -> Fraction:
     return F(-3, 32) + k * (2 * k + 1)
 
 
-def verma_leading_trace(k: int, c: Fraction, sign: int) -> Tuple[Fraction, Fraction]:
+def verma_leading_trace(k: int, sign: int) -> Tuple[Fraction, Fraction]:
     """(exponent, value) of the single surviving term of tr G_0 Theta q^{L_0 - c/24}
-    on the Verma module of weight h_k.
+    on the c = -21/4 Verma module of weight h_k.
 
     Only the top level contributes: the operator is diagonal on the
     1|1-dimensional top space with both eigenvalues sign*|4k+1|/8 (their
     squares are pinned to [(4k+1)/8]^2; the common sign is the one freedom),
     so the trace value is sign*|4k+1|/4 at exponent h_k - c/24 = 1/8 + k(2k+1).
     """
-    if Fraction(c) != BGG_CENTRAL_CHARGE:
-        raise ValueError("leading traces are implemented for c = -21/4 only")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     exponent = bgg_weight(k) - BGG_CENTRAL_CHARGE / 24

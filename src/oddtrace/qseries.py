@@ -20,6 +20,7 @@ __all__ = [
     "FracPowerSeries",
     "euler_product",
     "eta",
+    "jacobi_indices",
     "jacobi_rhs",
 ]
 
@@ -339,6 +340,20 @@ def eta(order: int) -> FracPowerSeries:
     return euler_product(order).shift(Fraction(1, 24))
 
 
+def jacobi_indices(limit: Rational) -> List[int]:
+    """The integers k with k(2k+1) < limit in increasing k(2k+1): 0, -1, 1, -2, 2, ...
+
+    Position d holds k = (-1)^d * ceil(d/2), so k(2k+1) = d(d+1)/2 and the
+    sign of 4k+1 is (-1)^d.
+    """
+    ks = []
+    d = 0
+    while d * (d + 1) // 2 < limit:
+        ks.append((-1) ** d * ((d + 1) // 2))
+        d += 1
+    return ks
+
+
 def jacobi_rhs(order: int) -> FracPowerSeries:
     """q^(1/8) sum over integers n of (4n+1) q^(n(2n+1)), on the D=8 grid.
 
@@ -346,16 +361,5 @@ def jacobi_rhs(order: int) -> FracPowerSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    terms: Dict[Fraction, int] = {}
-    n = 0
-    while True:
-        hit = False
-        for m in ((n, -n) if n else (0,)):
-            k = m * (2 * m + 1)
-            if k < order:
-                terms[Fraction(1, 8) + k] = 4 * m + 1
-                hit = True
-        if not hit:
-            break
-        n += 1
+    terms = {Fraction(1, 8) + n * (2 * n + 1): 4 * n + 1 for n in jacobi_indices(order)}
     return FracPowerSeries.from_terms(terms, Fraction(1, 8) + order, denominator=8)

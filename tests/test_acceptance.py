@@ -91,8 +91,7 @@ def test_criterion_4_bgg_route():
     # flipping any sign breaks the match at that k's exponent
     flipped = dict(signs.items())
     flipped[0] = -1
-    from oddtrace.characters import SignAssignment
-    bad = bgg_odd_trace(order, SignAssignment(flipped))
+    bad = bgg_odd_trace(order, flipped)
     assert bad.first_mismatch(target, order)[0] == EIGHTH
 
 

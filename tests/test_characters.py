@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from oddtrace.characters import (
-    SignAssignment,
     SignResolutionError,
     bgg_odd_trace,
     compare_series,
+    resolution_signs,
     resolve_signs,
     verify_bgg_equals_eta_cubed,
     verify_fermion_eta,
@@ -19,11 +19,8 @@ EIGHTH = F(1, 8)
 
 
 def test_sign_assignment_validation():
-    SignAssignment({-1: -1, 0: 1, 1: 1})
     with pytest.raises(ValueError):
-        SignAssignment({0: 2})
-    with pytest.raises(ValueError):
-        SignAssignment({0: 1, 2: 1})  # gap at k=1
+        bgg_odd_trace(EIGHTH + 1, {0: 2})
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +28,19 @@ def test_sign_assignment_validation():
 # ---------------------------------------------------------------------------
 
 def test_bgg_single_term():
-    signs = SignAssignment({0: 1})
+    signs = {0: 1}
     s = bgg_odd_trace(EIGHTH + 1, signs)
     assert s.support() == [EIGHTH]
     assert s.coeff(EIGHTH) == F(1, 4)
 
 
 def test_bgg_empty_window():
-    s = bgg_odd_trace(F(1, 16), SignAssignment({}))
+    s = bgg_odd_trace(F(1, 16), {})
     assert s.is_zero()
 
 
 def test_bgg_all_plus_magnitudes():
-    signs = SignAssignment({k: 1 for k in range(-3, 3)})
+    signs = {k: 1 for k in range(-3, 3)}
     s = bgg_odd_trace(EIGHTH + 12, signs)
     expected = {EIGHTH: F(1, 4), EIGHTH + 1: F(3, 4), EIGHTH + 3: F(5, 4),
                 EIGHTH + 6: F(7, 4), EIGHTH + 10: F(9, 4)}
@@ -59,7 +56,7 @@ def test_bgg_with_resolved_signs_matches_eta_cubed_quarter():
 
 def test_bgg_requires_sign_coverage():
     with pytest.raises(ValueError, match="k=-1"):
-        bgg_odd_trace(EIGHTH + 2, SignAssignment({0: 1}))
+        bgg_odd_trace(EIGHTH + 2, {0: 1})
 
 
 def test_bgg_support_matches_eta_cubed_to_200():
@@ -102,12 +99,19 @@ def test_resolve_signs_detects_impossible_target(monkeypatch):
 
     real = pbw.verma_leading_trace
 
-    def corrupted(k, c, sign):
-        e, v = real(k, c, sign)
+    def corrupted(k, sign):
+        e, v = real(k, sign)
         return e, v * 7
     monkeypatch.setattr(characters.pbw, "verma_leading_trace", corrupted)
     with pytest.raises(SignResolutionError):
         resolve_signs(EIGHTH + 1)
+
+
+def test_resolve_signs_agree_with_resolution_signs():
+    # The last window holds 32 terms, k = -16..15.
+    for order in (F(1, 16), EIGHTH, EIGHTH + 1, F(809, 8), EIGHTH + 500):
+        assert resolve_signs(order) == resolution_signs(order)
+    assert len(resolution_signs(EIGHTH + 500)) == 32
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +197,26 @@ def test_verify_bgg_single_term_window():
     assert report.passed
 
 
+def test_bgg_route_does_not_read_its_target(monkeypatch):
+    # Negate one coefficient of eta^3/4: signs read off the target would
+    # follow it and still pass; derived signs must expose it.
+    from oddtrace import characters
+
+    real = characters._eta_cubed_quarter
+
+    def corrupted(order):
+        target = real(order)
+        e = EIGHTH + 10
+        return target - FracPowerSeries.monomial(e, 2 * target.coeff(e), target.truncation)
+    monkeypatch.setattr(characters, "_eta_cubed_quarter", corrupted)
+    report = verify_bgg_equals_eta_cubed(EIGHTH + 20)
+    assert not report.passed
+    assert report.first_discrepancy[0] == EIGHTH + 10
+
+
 def test_verify_bgg_all_minus_fails_at_lowest_exponent():
     order = EIGHTH + 5
-    all_minus = SignAssignment({k: -1 for k in range(-2, 3)})
+    all_minus = {k: -1 for k in range(-2, 3)}
     lhs = bgg_odd_trace(order, all_minus)
     target = (eta(6) ** 3) * F(1, 4)
     report = compare_series("all-minus", lhs, target, order)

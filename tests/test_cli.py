@@ -286,8 +286,10 @@ def test_byte_determinism(capsys, argv):
     assert first.encode() == second.encode()
 
 
-# SHA-256 of the JSON reports before the integer queer products and the
-# streamed signed counts; both kernels must reproduce them byte for byte.
+# SHA-256 of JSON reports pinned before a rewrite of the code behind them:
+# the integer queer products and the streamed signed counts (cancellation,
+# queer-check, fermion-trace), and the resolution signs derived from the
+# homological degree (bgg, resolve-signs, jacobi-verify).
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
@@ -295,6 +297,16 @@ def test_byte_determinism(capsys, argv):
      "7a331de7a2240a815cfd3c0ca361dc13b6a914b64e412c10f83a925c50dbd92b"),
     (["fermion-trace", "--level", "20"],
      "2d87845e3dd77c00c364902b444398d40cce322d0ec5dd6cf858d22162bf92fe"),
+    (["bgg", "--order", "809/8"],
+     "bab8f295e92b636c97abee7cef3f41c73e949b97e38750c34b939ee94015c911"),
+    (["resolve-signs", "--order", "809/8"],
+     "44349d52df4e48a63fdd761f8e33b1eefdacc6f38d16fff2caeb26a253637148"),
+    (["bgg", "--order", "9/8"],
+     "eaa69c2f546058bad8ba1767c48dba932fd825c70a86e8c8e17a3b2ca92cb501"),
+    (["resolve-signs", "--order", "1/16"],
+     "17094ae7a9df04453b3a209c6282f3ae44f60e705b900c5a9916bd6ecd7d41c5"),
+    (["jacobi-verify", "--order", "350"],
+     "df32c406adc3598124f5f910ecb3e25131d5c7b40d14f1db2a848f95f60f884c"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     _, out = _capture(capsys, argv)

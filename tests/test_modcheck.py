@@ -63,6 +63,21 @@ def test_eval_tail_bound_sound_on_grid():
                 assert abs(v1 - v2) <= tail1
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0.9), (0.0, 1.0), (-0.3, 0.9), (0.45, 1.2),
+                                     (0.3, 1.1), (0.3, 0.8), (-0.4, 2.0)])
+def test_eval_eta_matches_mpmath_q_pochhammer(re, im):
+    # Independent oracle: eta = q^(1/24) (q; q)_inf with mpmath's q-Pochhammer.
+    mpmath = pytest.importorskip("mpmath")
+    tau = TauPoint(re, im)
+    with mpmath.workdps(30):
+        q = mpmath.exp(2j * mpmath.pi * tau.z)
+        oracle = complex(mpmath.exp(2j * mpmath.pi * tau.z / 24) * mpmath.qp(q))
+    e = eta(60)
+    for series, expected in [(e, oracle), (e ** 3, oracle ** 3)]:
+        v, tail = eval_series(series, tau)
+        assert abs(v - expected) <= tail + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # T transformation
 # ---------------------------------------------------------------------------

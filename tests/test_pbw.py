@@ -209,19 +209,19 @@ def test_fermion_trace_series_assembles_levels():
 # ---------------------------------------------------------------------------
 
 def test_leading_trace_k0():
-    assert verma_leading_trace(0, F(-21, 4), +1) == (F(1, 8), F(1, 4))
+    assert verma_leading_trace(0, +1) == (F(1, 8), F(1, 4))
 
 
 def test_leading_trace_eigenvalue_squares():
     for k in range(-2, 3):
-        exp, value = verma_leading_trace(k, F(-21, 4), +1)
+        exp, value = verma_leading_trace(k, +1)
         eigen = value / 2  # two equal eigenvalues on the 1|1 top space
         assert eigen ** 2 == F(4 * k + 1, 8) ** 2
         assert exp == F(1, 8) + k * (2 * k + 1)
 
 
 def test_leading_trace_k1_matches_eta_cubed():
-    exp, value = verma_leading_trace(1, F(-21, 4), +1)
+    exp, value = verma_leading_trace(1, +1)
     assert exp == F(1, 8) + 3
     target = (eta(5) ** 3) * F(1, 4)
     assert value == target.coeff(exp)
@@ -229,9 +229,7 @@ def test_leading_trace_k1_matches_eta_cubed():
 
 def test_leading_trace_validates_inputs():
     with pytest.raises(ValueError):
-        verma_leading_trace(0, F(1, 2), +1)
-    with pytest.raises(ValueError):
-        verma_leading_trace(0, F(-21, 4), 2)
+        verma_leading_trace(0, 2)
 
 
 def test_bgg_weights():
