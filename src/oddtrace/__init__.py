@@ -25,7 +25,6 @@ from .pbw import (
     enumerate_ns_monomials,
     fermion_odd_trace,
     signed_monomial_count,
-    verma_leading_trace,
 )
 from .characters import (
     VerificationReport,
@@ -47,7 +46,6 @@ __all__ = [
     "g0_square_value", "minimal_model_spectrum",
     "GradedTraceReport", "PBWMonomial", "enumerate_fermion_monomials",
     "enumerate_ns_monomials", "fermion_odd_trace", "signed_monomial_count",
-    "verma_leading_trace",
     "VerificationReport", "bgg_odd_trace", "resolution_signs", "resolve_signs",
     "verify_bgg_equals_eta_cubed", "verify_fermion_eta", "verify_jacobi",
     "EndElement", "QueerElement", "odd_trace", "queer_mul", "supertrace",

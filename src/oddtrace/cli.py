@@ -107,7 +107,7 @@ def _cmd_fermion_trace(config):
 
 
 def _cmd_bgg(config):
-    """resolution-route odd trace with resolved signs, checked against eta^3/4"""
+    """resolution-route odd trace from the (2, 8) Kac labels, checked against eta^3/4"""
     signs, series, report = characters._bgg_route(config.order)
     payload = {
         "signs": _signs_json(signs),

@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_ns_monomials",
     "signed_monomial_count",
     "fermion_odd_trace",
-    "verma_leading_trace",
     "FERMION_PREFACTOR_EXPONENT",
 ]
 
@@ -190,32 +189,3 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
         denominator=24,
     )
     return GradedTraceReport(FERMION_PREFACTOR_EXPONENT, tuple(levels), series)
-
-
-# ---------------------------------------------------------------------------
-# Verma-module leading trace for c = -21/4
-# ---------------------------------------------------------------------------
-
-BGG_CENTRAL_CHARGE = F(-21, 4)
-
-
-def bgg_weight(k: int) -> Fraction:
-    """h_k = -3/32 + k(2k+1), the Verma weights in the resolution of the
-    irreducible h = -3/32 module."""
-    return F(-3, 32) + k * (2 * k + 1)
-
-
-def verma_leading_trace(k: int, sign: int) -> Tuple[Fraction, Fraction]:
-    """(exponent, value) of the single surviving term of tr G_0 Theta q^{L_0 - c/24}
-    on the c = -21/4 Verma module of weight h_k.
-
-    Only the top level contributes: the operator is diagonal on the
-    1|1-dimensional top space with both eigenvalues sign*|4k+1|/8 (their
-    squares are pinned to [(4k+1)/8]^2; the common sign is the one freedom),
-    so the trace value is sign*|4k+1|/4 at exponent h_k - c/24 = 1/8 + k(2k+1).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    exponent = bgg_weight(k) - BGG_CENTRAL_CHARGE / 24
-    value = Fraction(sign) * abs(4 * k + 1) / 4
-    return exponent, value

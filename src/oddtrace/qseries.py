@@ -13,14 +13,13 @@ coefficient denominators) and build one exact `Fraction` series at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "FracPowerSeries",
     "euler_product",
     "eta",
-    "jacobi_indices",
     "jacobi_rhs",
 ]
 
@@ -340,20 +339,6 @@ def eta(order: int) -> FracPowerSeries:
     return euler_product(order).shift(Fraction(1, 24))
 
 
-def jacobi_indices(limit: Rational) -> List[int]:
-    """The integers k with k(2k+1) < limit in increasing k(2k+1): 0, -1, 1, -2, 2, ...
-
-    Position d holds k = (-1)^d * ceil(d/2), so k(2k+1) = d(d+1)/2 and the
-    sign of 4k+1 is (-1)^d.
-    """
-    ks = []
-    d = 0
-    while d * (d + 1) // 2 < limit:
-        ks.append((-1) ** d * ((d + 1) // 2))
-        d += 1
-    return ks
-
-
 def jacobi_rhs(order: int) -> FracPowerSeries:
     """q^(1/8) sum over integers n of (4n+1) q^(n(2n+1)), on the D=8 grid.
 
@@ -361,5 +346,8 @@ def jacobi_rhs(order: int) -> FracPowerSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    terms = {Fraction(1, 8) + n * (2 * n + 1): 4 * n + 1 for n in jacobi_indices(order)}
+    # n(2n+1) >= n^2, so every such n has n^2 <= floor(order)
+    reach = isqrt(int(order))
+    terms = {Fraction(1, 8) + n * (2 * n + 1): 4 * n + 1
+             for n in range(-reach, reach + 1) if n * (2 * n + 1) < order}
     return FracPowerSeries.from_terms(terms, Fraction(1, 8) + order, denominator=8)

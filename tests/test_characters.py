@@ -4,6 +4,8 @@ import pytest
 
 from oddtrace.characters import (
     SignResolutionError,
+    _exact_sqrt,
+    _resolution_terms,
     bgg_odd_trace,
     compare_series,
     resolution_signs,
@@ -13,6 +15,7 @@ from oddtrace.characters import (
     verify_jacobi,
 )
 from oddtrace.qseries import FracPowerSeries, eta
+from oddtrace.superalgebras import central_charge, conformal_weight
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -94,15 +97,14 @@ def test_resolve_signs_window_stable():
 
 
 def test_resolve_signs_detects_impossible_target(monkeypatch):
-    # Corrupt the leading-trace magnitude; resolution must refuse to fit it.
-    from oddtrace import characters, pbw
+    # Corrupt the resolution magnitudes; resolution must refuse to fit them.
+    from oddtrace import characters
 
-    real = pbw.verma_leading_trace
+    real = characters._resolution_terms
 
-    def corrupted(k, sign):
-        e, v = real(k, sign)
-        return e, v * 7
-    monkeypatch.setattr(characters.pbw, "verma_leading_trace", corrupted)
+    def corrupted(max_exponent):
+        return [(k, e, m * 7, eps, sign) for k, e, m, eps, sign in real(max_exponent)]
+    monkeypatch.setattr(characters, "_resolution_terms", corrupted)
     with pytest.raises(SignResolutionError):
         resolve_signs(EIGHTH + 1)
 
@@ -112,6 +114,73 @@ def test_resolve_signs_agree_with_resolution_signs():
     for order in (F(1, 16), EIGHTH, EIGHTH + 1, F(809, 8), EIGHTH + 500):
         assert resolve_signs(order) == resolution_signs(order)
     assert len(resolution_signs(EIGHTH + 500)) == 32
+
+
+# ---------------------------------------------------------------------------
+# the resolution terms from the (2, 8) Kac labels
+# ---------------------------------------------------------------------------
+
+def _verma_gf(order):
+    """Coefficients of the Verma character 2 prod (1+q^n)/(1-q^n), levels < order."""
+    out = [2] + [0] * (order - 1)
+    for n in range(1, order):
+        for m in range(order - 1, n - 1, -1):  # times 1 + q^n
+            out[m] += out[m - n]
+        for m in range(n, order):  # times 1/(1 - q^n)
+            out[m] += out[m - n]
+    return out
+
+
+def _times_verma(signs_by_level, order):
+    verma = _verma_gf(order)
+    return [sum(sign * verma[n - level] for level, sign in signs_by_level.items()
+                if level <= n) for n in range(order)]
+
+
+def test_resolution_terms_k0():
+    k, exponent, magnitude, eps, sign = _resolution_terms(EIGHTH)[0]
+    assert (k, exponent, magnitude, eps, sign) == (0, EIGHTH, F(1, 4), 1, 1)
+
+
+def test_resolution_exponents_are_g0_squares_of_kac_weights():
+    # Key k = 2j has label (1 + 4j, 2), key k = -2j-1 has label (1 + 4j, -2).
+    c = central_charge(2, 8)
+    terms = _resolution_terms(F(2809, 8))
+    assert len(terms) == 27
+    for k, exponent, magnitude, eps, _ in terms:
+        j, s = (k // 2, 2) if k % 2 == 0 else ((-k - 1) // 2, -2)
+        assert eps == (1 if s > 0 else -1)
+        assert exponent == conformal_weight(2, 8, 1 + 4 * j, s) - c / 24
+        assert magnitude ** 2 == exponent / 2
+
+
+def test_exact_sqrt_raises_off_squares():
+    assert _exact_sqrt(F(9, 64)) == F(3, 8)
+    with pytest.raises(ArithmeticError):
+        _exact_sqrt(EIGHTH)
+
+
+def test_character_signs_give_the_irreducible_dimensions():
+    # sum eps q^level times the Verma character is the irreducible character:
+    # the Gram ranks at levels 0..8, and nonnegative everywhere.
+    order = 41
+    eps = {int(e - EIGHTH): eps for _, e, _, eps, _ in _resolution_terms(EIGHTH + order - 1)}
+    dims = _times_verma(eps, order)
+    assert dims[:9] == [2, 2, 4, 6, 8, 12, 18, 24, 32]
+    assert min(dims) >= 0
+    # The alternating (-1)^d over the same levels is not a character.
+    alternating = {level: (-1) ** d for d, level in enumerate(sorted(eps))}
+    assert _times_verma(alternating, order)[3] == 10
+
+
+def test_resolution_route_reads_the_kac_weights(monkeypatch):
+    from oddtrace import characters
+
+    real = characters.conformal_weight
+    monkeypatch.setattr(characters, "conformal_weight",
+                        lambda p, pp, r, s: real(p, pp, r, s) + 1)
+    with pytest.raises(ArithmeticError):
+        verify_bgg_equals_eta_cubed(EIGHTH + 20)
 
 
 # ---------------------------------------------------------------------------

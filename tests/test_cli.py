@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shlex
 import stat
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,7 +169,7 @@ def test_help_lists_every_command_with_its_description(capsys):
         ("eta3", "q-expansion of eta cubed"),
         ("jacobi-verify", "check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))"),
         ("fermion-trace", "brute-force fermion odd trace and its eta check"),
-        ("bgg", "resolution-route odd trace with resolved signs, checked against eta^3/4"),
+        ("bgg", "resolution-route odd trace from the (2, 8) Kac labels, checked against eta^3/4"),
         ("resolve-signs", "signs of the resolution terms matched to eta^3/4"),
         ("spectrum", "N=1 minimal-model central charge and Ramond weights"),
         ("cancellation", "signed monomial counts (must vanish above level 0)"),
@@ -175,6 +177,32 @@ def test_help_lists_every_command_with_its_description(capsys):
         ("queer-check", "randomized supersymmetry checks and the Q_1 uniqueness probe"),
     ]:
         assert any(line.split() == [name, *description.split()] for line in lines), name
+
+
+def _readme_examples():
+    """The `oddtrace ...` lines of the README's command-line usage block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("oddtrace ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert len(examples) == len(COMMANDS)
+    for argv in examples:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_library_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # A resolution term off the square lattice is a fault of the model, not of
+    # the input, so it must not exit 2.
+    real = characters.conformal_weight
+    monkeypatch.setattr(characters, "conformal_weight",
+                        lambda p, pp, r, s: real(p, pp, r, s) + 1)
+    with pytest.raises(ArithmeticError):
+        main(["bgg", "--order", "20"])
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -289,7 +317,8 @@ def test_byte_determinism(capsys, argv):
 # SHA-256 of JSON reports pinned before a rewrite of the code behind them:
 # the integer queer products and the streamed signed counts (cancellation,
 # queer-check, fermion-trace), and the resolution signs derived from the
-# homological degree (bgg, resolve-signs, jacobi-verify).
+# homological degree (bgg, resolve-signs, jacobi-verify), and the resolution
+# terms built from the (2, 8) Kac labels (bgg, resolve-signs).
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
@@ -307,6 +336,16 @@ def test_byte_determinism(capsys, argv):
      "17094ae7a9df04453b3a209c6282f3ae44f60e705b900c5a9916bd6ecd7d41c5"),
     (["jacobi-verify", "--order", "350"],
      "df32c406adc3598124f5f910ecb3e25131d5c7b40d14f1db2a848f95f60f884c"),
+    (["bgg"],
+     "5b94a9e171ee670df14e3d1594d2ad835516e666c1ae2f182a1f12909887b20f"),
+    (["bgg", "--order", "81/8"],
+     "ffe517e048a23cd303abe8170e6d6f2e8d36c2ea7e34c8fece4a304b605125ec"),
+    (["bgg", "--order", "9/8", "--format", "text"],
+     "0329da73b8a5ea0dade9617f40d96a27be7d36ff1d7674835ac2e210b282dbdc"),
+    (["resolve-signs", "--order", "2745/8"],
+     "ec8859707cd922af294ee5965498857d5efe9d9916a99500be227e0f31795bec"),
+    (["resolve-signs", "--order", "81/8"],
+     "b33276c6096188fcae395927845e517fe27002d68349bfc82f38cc15d0c1aed0"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     _, out = _capture(capsys, argv)

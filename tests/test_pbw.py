@@ -7,13 +7,11 @@ from oddtrace.pbw import (
     _distinct_partitions,
     _partitions,
     PBWMonomial,
-    bgg_weight,
     enumerate_fermion_monomials,
     enumerate_ns_monomials,
     fermion_odd_trace,
     psi0_theta_diagonal,
     signed_monomial_count,
-    verma_leading_trace,
 )
 from oddtrace.qseries import eta, euler_product
 
@@ -202,37 +200,3 @@ def test_fermion_trace_series_assembles_levels():
     report = fermion_odd_trace(8)
     for n, tr in report.levels:
         assert report.series.coeff(F(1, 24) + n) == tr
-
-
-# ---------------------------------------------------------------------------
-# Verma leading trace at c = -21/4
-# ---------------------------------------------------------------------------
-
-def test_leading_trace_k0():
-    assert verma_leading_trace(0, +1) == (F(1, 8), F(1, 4))
-
-
-def test_leading_trace_eigenvalue_squares():
-    for k in range(-2, 3):
-        exp, value = verma_leading_trace(k, +1)
-        eigen = value / 2  # two equal eigenvalues on the 1|1 top space
-        assert eigen ** 2 == F(4 * k + 1, 8) ** 2
-        assert exp == F(1, 8) + k * (2 * k + 1)
-
-
-def test_leading_trace_k1_matches_eta_cubed():
-    exp, value = verma_leading_trace(1, +1)
-    assert exp == F(1, 8) + 3
-    target = (eta(5) ** 3) * F(1, 4)
-    assert value == target.coeff(exp)
-
-
-def test_leading_trace_validates_inputs():
-    with pytest.raises(ValueError):
-        verma_leading_trace(0, 2)
-
-
-def test_bgg_weights():
-    assert bgg_weight(0) == F(-3, 32)
-    assert bgg_weight(1) == F(-3, 32) + 3
-    assert bgg_weight(-1) == F(-3, 32) + 1
