@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, List, Tuple
 
 from .qseries import FracPowerSeries
@@ -62,28 +63,64 @@ class PBWMonomial:
         return len(self.fermionic)
 
 
-def _partitions(n: int, max_part: int | None = None) -> Iterator[Tuple[int, ...]]:
-    """Partitions of n as weakly increasing tuples."""
+def _partitions(n: int) -> Iterator[Tuple[int, ...]]:
+    """Partitions of n as weakly increasing tuples, largest part first in
+    reverse-lexicographic order.
+
+    Algorithm ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998):
+    x[:m] holds the parts in decreasing order, x[m:] is all ones, and h is
+    the index of the last part greater than 1.
+    """
     if n == 0:
         yield ()
         return
-    if max_part is None:
-        max_part = n
-    for largest in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - largest, largest):
-            yield rest + (largest,)
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[m - 1::-1])
 
 
-def _distinct_partitions(n: int, max_part: int | None = None) -> Iterator[Tuple[int, ...]]:
-    """Partitions of n into distinct parts, weakly increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for largest in range(min(n, max_part), 0, -1):
-        for rest in _distinct_partitions(n - largest, largest - 1):
-            yield rest + (largest,)
+def _distinct_partitions(n: int) -> Iterator[Tuple[int, ...]]:
+    """Partitions of n into distinct parts, weakly increasing tuples, largest
+    part first in reverse-lexicographic order.
+
+    Depth-first over an explicit stack of (parts, rest, top): the parts
+    chosen so far, the weight still to place and the bound on the next
+    part.  A next part `largest` can be completed only if
+    1 + ... + largest >= rest, so smaller ones are never pushed.
+    """
+    stack = [((), n, n)]
+    while stack:
+        parts, rest, top = stack.pop()
+        if rest == 0:
+            yield parts
+            continue
+        low = (isqrt(8 * rest + 1) - 1) // 2
+        if low * (low + 1) < 2 * rest:
+            low += 1
+        for largest in range(low, min(rest, top) + 1):
+            stack.append(((largest,) + parts, rest - largest, largest - 1))
 
 
 def enumerate_fermion_monomials(level: int) -> List[PBWMonomial]:
@@ -138,6 +175,14 @@ def _psi0_action(top: int) -> Tuple[Fraction, int]:
     return (F(1), 1) if top == 0 else (F(1, 2), 0)
 
 
+def _psi0_square(top: int) -> Fraction:
+    """Diagonal entry of psi_0^2 = 1/2 on a top-space vector."""
+    c1, t1 = _psi0_action(top)
+    c2, t2 = _psi0_action(t1)
+    assert t2 == top
+    return c1 * c2
+
+
 def psi0_theta_diagonal(m: PBWMonomial) -> Fraction:
     """Diagonal entry of psi_0 Theta on the monomial vector.
 
@@ -146,11 +191,7 @@ def psi0_theta_diagonal(m: PBWMonomial) -> Fraction:
     picking up (-1)^t, and acts on the top space again.  The two top-space
     steps compose to psi_0^2 = 1/2, so the monomial is an eigenvector.
     """
-    c1, t1 = _psi0_action(m.top)
-    sign = (-1) ** m.fermionic_length
-    c2, t2 = _psi0_action(t1)
-    assert t2 == m.top
-    return sign * c1 * c2
+    return (-1) ** m.fermionic_length * _psi0_square(m.top)
 
 
 @dataclass(frozen=True)
@@ -173,16 +214,18 @@ class GradedTraceReport:
 def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     """Graded trace of psi_0 Theta q^{L_0 - c/24} over the Fock module.
 
-    Each level-N trace is the signed distinct-part partition count (both top
-    vectors contribute 1/2 apiece); the assembled series matches the eta
-    expansion q^{1/24} prod (1 - q^n).
+    psi_0 Theta acts on m w as (-1)^t m psi_0^2 w (see psi0_theta_diagonal),
+    so each level-N trace is the signed distinct-part partition count,
+    tallied in integers, times the trace of psi_0^2 on the top space (1/2
+    from each of v, vbar).  The assembled series matches the eta expansion
+    q^{1/24} prod (1 - q^n).
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    levels = []
-    for n in range(max_level + 1):
-        tr = sum(psi0_theta_diagonal(m) for m in enumerate_fermion_monomials(n))
-        levels.append((n, tr))
+    top_trace = _psi0_square(0) + _psi0_square(1)
+    levels = [(n, top_trace * sum(-1 if len(ferm) & 1 else 1
+                                  for ferm in _distinct_partitions(n)))
+              for n in range(max_level + 1)]
     series = FracPowerSeries.from_terms(
         {FERMION_PREFACTOR_EXPONENT + n: tr for n, tr in levels},
         truncation=FERMION_PREFACTOR_EXPONENT + max_level + 1,

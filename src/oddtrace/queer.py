@@ -59,20 +59,24 @@ def _numerators(m: Matrix) -> IntMatrix:
     return scale, tuple(tuple(nums[i * w:(i + 1) * w]) for i in range(len(m)))
 
 
-def _sum_of_products(*pairs: Tuple[IntMatrix, IntMatrix]) -> Matrix:
-    """Sum of the matrix products a b over the (a, b) pairs, such as
-    Xa Xb + Ya Yb, with each operand given by `_numerators`.
+def _sum_of_products(rows: int, cols: int, *pairs: Tuple[Matrix, Matrix]) -> Matrix:
+    """Sum of the rows x cols matrix products a b over the (a, b) pairs,
+    such as Xa Xb + Ya Yb.
 
-    The integer products are accumulated over one common denominator, and
-    each entry becomes a single Fraction at the end.  Pairs with a zero
-    factor are skipped.
+    Pairs with a zero factor are skipped before any scaling.  The others
+    are scaled by `_numerators`, their integer products are accumulated
+    over one common denominator, and each entry becomes a single Fraction
+    at the end.
     """
-    rows = len(pairs[0][0][1])
-    # A right factor with no rows (an empty block) does not show its width.
-    cols = max((len(b[0]) for _, (_, b) in pairs if b), default=0)
-    terms = [(la * lb, a, tuple(zip(*b))) for (la, a), (lb, b) in pairs
-             if any(map(any, a)) and any(map(any, b))]
-    den = lcm(1, *(s for s, _, _ in terms))
+    terms = []
+    for a, b in pairs:
+        if _is_zero(a) or _is_zero(b):
+            continue
+        (la, anums), (lb, bnums) = _numerators(a), _numerators(b)
+        terms.append((la * lb, anums, tuple(zip(*bnums))))
+    if not terms:
+        return _zeros(rows, cols)
+    den = lcm(*(s for s, _, _ in terms))
     acc = [[0] * cols for _ in range(rows)]
     for s, a, bcols in terms:
         f = den // s
@@ -87,7 +91,7 @@ def _mat_trace(a: Matrix) -> Fraction:
 
 
 def _is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return not any(map(any, a))
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,10 @@ def queer_mul(a: QueerElement, b: QueerElement) -> QueerElement:
     """Block product: (Xa Xb + Ya Yb, Xa Yb + Ya Xb)."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    ax, ay, bx, by = map(_numerators, (a.x, a.y, b.x, b.y))
-    x = _sum_of_products((ax, bx), (ay, by))
-    y = _sum_of_products((ax, by), (ay, bx))
-    return QueerElement(a.n, x, y)
+    n = a.n
+    x = _sum_of_products(n, n, (a.x, b.x), (a.y, b.y))
+    y = _sum_of_products(n, n, (a.x, b.y), (a.y, b.x))
+    return QueerElement(n, x, y)
 
 
 def odd_trace(a: QueerElement) -> Fraction:
@@ -200,14 +204,13 @@ class EndElement:
 def end_mul(x: EndElement, y: EndElement) -> EndElement:
     if (x.d0, x.d1) != (y.d0, y.d1):
         raise ValueError("size mismatch")
-    xa, xb, xc, xd = map(_numerators, (x.a, x.b, x.c, x.d))
-    ya, yb, yc, yd = map(_numerators, (y.a, y.b, y.c, y.d))
+    d0, d1 = x.d0, x.d1
     return EndElement(
-        x.d0, x.d1,
-        _sum_of_products((xa, ya), (xb, yc)),
-        _sum_of_products((xa, yb), (xb, yd)),
-        _sum_of_products((xc, ya), (xd, yc)),
-        _sum_of_products((xc, yb), (xd, yd)),
+        d0, d1,
+        _sum_of_products(d0, d0, (x.a, y.a), (x.b, y.c)),
+        _sum_of_products(d0, d1, (x.a, y.b), (x.b, y.d)),
+        _sum_of_products(d1, d0, (x.c, y.a), (x.d, y.c)),
+        _sum_of_products(d1, d1, (x.c, y.b), (x.d, y.d)),
     )
 
 

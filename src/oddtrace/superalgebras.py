@@ -218,7 +218,7 @@ def g0_square_value(c: Fraction, h: Fraction) -> Fraction:
     G_0^2 = (1/2)[G_0, G_0] = L_0 - C/24, so the value is h - c/24; it
     vanishes exactly when h = c/24 (the 1-dimensional top space case).
     """
-    return Fraction(h) - Fraction(c) / 24
+    return h - Fraction(c, 24)
 
 
 def spectrum_to_json(entries: List[SpectrumEntry]) -> list:

@@ -318,7 +318,9 @@ def test_byte_determinism(capsys, argv):
 # the integer queer products and the streamed signed counts (cancellation,
 # queer-check, fermion-trace), and the resolution signs derived from the
 # homological degree (bgg, resolve-signs, jacobi-verify), and the resolution
-# terms built from the (2, 8) Kac labels (bgg, resolve-signs).
+# terms built from the (2, 8) Kac labels (bgg, resolve-signs), and the
+# iterative partition generators with integer fermion tallies (fermion-trace,
+# cancellation).
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
@@ -346,6 +348,12 @@ def test_byte_determinism(capsys, argv):
      "ec8859707cd922af294ee5965498857d5efe9d9916a99500be227e0f31795bec"),
     (["resolve-signs", "--order", "81/8"],
      "b33276c6096188fcae395927845e517fe27002d68349bfc82f38cc15d0c1aed0"),
+    (["fermion-trace", "--level", "36"],
+     "5e47f321001bc9d80210ef53c7de70c55f5bf2782eb420e64050bfeaae51339c"),
+    (["fermion-trace", "--format", "text"],
+     "8097e452786fe1283a357c19688d1bd7bc441e0d3e33e8514cfe777c92b9877d"),
+    (["cancellation", "--level", "23", "--format", "text"],
+     "66930c778fb1884e9a01f7e7163ab2149dc9a194256d868f6c4c4423e7afd44f"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     _, out = _capture(capsys, argv)

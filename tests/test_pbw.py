@@ -118,13 +118,45 @@ def test_ns_top_dim_doubles_and_validates():
         enumerate_fermion_monomials(-1)
 
 
+def recursive_partitions(n, max_part=None):
+    """The partition order of record: weakly increasing tuples, largest
+    part first, from n down to 1, then the rest in the same order."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None:
+        max_part = n
+    for largest in range(min(n, max_part), 0, -1):
+        for rest in recursive_partitions(n - largest, largest):
+            yield rest + (largest,)
+
+
+def recursive_distinct_partitions(n, max_part=None):
+    """As recursive_partitions, with distinct parts."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None:
+        max_part = n
+    for largest in range(min(n, max_part), 0, -1):
+        for rest in recursive_distinct_partitions(n - largest, largest - 1):
+            yield rest + (largest,)
+
+
+def test_partition_generators_keep_the_order_of_record():
+    for n in range(31):
+        assert list(_partitions(n)) == list(recursive_partitions(n))
+    for n in range(46):
+        assert list(_distinct_partitions(n)) == list(recursive_distinct_partitions(n))
+
+
 def nested_ns_monomials(level, top_dim):
     """The enumeration order of record: bosonic weight j, then the bosonic
     partitions of j, the distinct partitions of level - j and the top index."""
     return [PBWMonomial(bos, ferm, top)
             for j in range(level + 1)
-            for bos in _partitions(j)
-            for ferm in _distinct_partitions(level - j)
+            for bos in recursive_partitions(j)
+            for ferm in recursive_distinct_partitions(level - j)
             for top in range(top_dim)]
 
 
@@ -183,6 +215,12 @@ def test_fermion_trace_level_zero_and_prefactor():
     assert report.levels == ((0, F(1)),)
     assert report.prefactor_exponent == F(1, 24)
     assert FERMION_PREFACTOR_EXPONENT == F(1, 16) - F(1, 2) / 24
+
+
+def test_fermion_trace_levels_equal_the_per_monomial_sums():
+    report = fermion_odd_trace(16)
+    for n, tr in report.levels:
+        assert tr == sum(psi0_theta_diagonal(m) for m in enumerate_fermion_monomials(n))
 
 
 def test_fermion_trace_levels_are_signed_distinct_counts():

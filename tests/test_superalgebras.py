@@ -168,6 +168,8 @@ def test_g0_square_values():
     assert g0_square_value(F(-21, 4), F(-3, 32)) == F(1, 8)
     assert g0_square_value(F(-21, 4), F(-7, 32)) == 0
     assert g0_square_value(F(10), F(10, 24)) == 0
+    value = g0_square_value(-21, F(-3, 32))
+    assert value == F(25, 32) and isinstance(value, Fraction)
 
 
 def test_g0_square_vanishes_iff_h_is_c_over_24():
