@@ -202,6 +202,8 @@ def _cmd_queer_check(config):
         sgn = (-1) ** (a.parity * b.parity)
         if queer.odd_trace(queer.queer_mul(a, b)) != sgn * queer.odd_trace(queer.queer_mul(b, a)):
             susy_violations += 1
+    # Structural: an odd random_homogeneous_end has zero A and D blocks, so
+    # its supertrace is 0 by construction and no end_mul is taken here.
     str_violations = 0
     for _ in range(QUEER_TRIALS // 4):
         e = queer.random_homogeneous_end(2, 2, rng)

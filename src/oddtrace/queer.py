@@ -7,6 +7,13 @@ phi(ab) = (-1)^{p(a)p(b)} phi(ba) on homogeneous elements.  End(N) for a
 superspace N of dimension d0|d1 carries the supertrace tr A - tr D, which
 vanishes on every odd element.  Rational scalars suffice: the identities
 are algebraic over any field of characteristic zero.
+
+Each element builds the integer form of its blocks (the lcm L of the entry
+denominators, and the rows and columns of L times the block) once, on its
+first product, and keeps it for the products it enters later.  One kernel
+multiplies those forms for both Q_n and End(N) and builds one Fraction per
+entry.  Random samples are drawn as rng.randint(-9, 9), rng.randint(1, 9)
+pairs and looked up in a fixed table of the 171 values they name.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .qseries import _clear_denominators
 
@@ -41,57 +49,66 @@ def _mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+_ZERO = F(0)
+
+
 def _zeros(n: int, m: int) -> Matrix:
-    return tuple((F(0),) * m for _ in range(n))
+    return ((_ZERO,) * m,) * n
 
 
 def _eye(n: int) -> Matrix:
-    return tuple(tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n))
+    return tuple(tuple(F(1) if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
-IntMatrix = Tuple[int, Tuple[Tuple[int, ...], ...]]
+IntRows = Tuple[Tuple[int, ...], ...]
+IntForm = Optional[Tuple[int, IntRows, IntRows]]
 
 
-def _numerators(m: Matrix) -> IntMatrix:
-    """(L, L * m) with L the lcm of the entry denominators."""
+def _int_form(m: Matrix) -> IntForm:
+    """None for a zero block, else (L, rows of L * m, columns of L * m) with
+    L the lcm of the entry denominators."""
+    if _is_zero(m):
+        return None
     scale, nums = _clear_denominators([x for row in m for x in row])
-    w = len(m[0]) if m else 0
-    return scale, tuple(tuple(nums[i * w:(i + 1) * w]) for i in range(len(m)))
+    w = len(m[0])
+    rows = tuple(tuple(nums[i:i + w]) for i in range(0, len(nums), w))
+    return scale, rows, tuple(zip(*rows))
 
 
-def _sum_of_products(rows: int, cols: int, *pairs: Tuple[Matrix, Matrix]) -> Matrix:
-    """Sum of the rows x cols matrix products a b over the (a, b) pairs,
-    such as Xa Xb + Ya Yb.
+def _sum_of_products(rows: int, cols: int, *pairs: Tuple[IntForm, IntForm]) -> Matrix:
+    """Sum of the rows x cols matrix products a b over the (a, b) pairs of
+    integer forms, such as Xa Xb + Ya Yb.
 
-    Pairs with a zero factor are skipped before any scaling.  The others
-    are scaled by `_numerators`, their integer products are accumulated
-    over one common denominator, and each entry becomes a single Fraction
-    at the end.
+    Pairs with a zero factor are skipped.  A single remaining pair gives
+    each entry as Fraction(row . column, La Lb); several are accumulated
+    over the lcm of their scales.  Either way each entry becomes a single
+    Fraction.
     """
-    terms = []
-    for a, b in pairs:
-        if _is_zero(a) or _is_zero(b):
-            continue
-        (la, anums), (lb, bnums) = _numerators(a), _numerators(b)
-        terms.append((la * lb, anums, tuple(zip(*bnums))))
+    terms = [(a[0] * b[0], a[1], b[2]) for a, b in pairs
+             if a is not None and b is not None]
     if not terms:
         return _zeros(rows, cols)
+    if len(terms) == 1:
+        den, arows, bcols = terms[0]
+        return tuple([tuple([Fraction(sum(map(mul, row, col)), den) for col in bcols])
+                      for row in arows])
     den = lcm(*(s for s, _, _ in terms))
     acc = [[0] * cols for _ in range(rows)]
-    for s, a, bcols in terms:
+    for s, arows, bcols in terms:
         f = den // s
-        for row, out in zip(a, acc):
+        for row, out in zip(arows, acc):
             for j, col in enumerate(bcols):
                 out[j] += f * sum(map(mul, row, col))
     return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
 
 
 def _mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), F(0))
+    return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
 def _is_zero(a: Matrix) -> bool:
-    return not any(map(any, a))
+    # Entries of the shared zero compare by identity, with no Fraction call.
+    return not a or a == _zeros(len(a), len(a[0]))
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,12 @@ class QueerElement:
 
     def __post_init__(self):
         for name, m in (("x", self.x), ("y", self.y)):
-            if len(m) != self.n or any(len(row) != self.n for row in m):
+            if list(map(len, m)) != [self.n] * self.n:
                 raise ValueError(f"{name} must be {self.n}x{self.n}")
+
+    @cached_property
+    def _forms(self) -> Tuple[IntForm, IntForm]:
+        return _int_form(self.x), _int_form(self.y)
 
     @staticmethod
     def from_lists(x, y) -> "QueerElement":
@@ -143,8 +164,9 @@ def queer_mul(a: QueerElement, b: QueerElement) -> QueerElement:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    x = _sum_of_products(n, n, (a.x, b.x), (a.y, b.y))
-    y = _sum_of_products(n, n, (a.x, b.y), (a.y, b.x))
+    (ax, ay), (bx, by) = a._forms, b._forms
+    x = _sum_of_products(n, n, (ax, bx), (ay, by))
+    y = _sum_of_products(n, n, (ax, by), (ay, bx))
     return QueerElement(n, x, y)
 
 
@@ -173,8 +195,12 @@ class EndElement:
                   "c": (self.d1, self.d0), "d": (self.d1, self.d1)}
         for name, (r, cdim) in shapes.items():
             m = getattr(self, name)
-            if len(m) != r or any(len(row) != cdim for row in m):
+            if list(map(len, m)) != [cdim] * r:
                 raise ValueError(f"block {name} must be {r}x{cdim}")
+
+    @cached_property
+    def _forms(self) -> Tuple[IntForm, IntForm, IntForm, IntForm]:
+        return _int_form(self.a), _int_form(self.b), _int_form(self.c), _int_form(self.d)
 
     @staticmethod
     def from_lists(d0, d1, a, b, c, d) -> "EndElement":
@@ -205,12 +231,13 @@ def end_mul(x: EndElement, y: EndElement) -> EndElement:
     if (x.d0, x.d1) != (y.d0, y.d1):
         raise ValueError("size mismatch")
     d0, d1 = x.d0, x.d1
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = x._forms, y._forms
     return EndElement(
         d0, d1,
-        _sum_of_products(d0, d0, (x.a, y.a), (x.b, y.c)),
-        _sum_of_products(d0, d1, (x.a, y.b), (x.b, y.d)),
-        _sum_of_products(d1, d0, (x.c, y.a), (x.d, y.c)),
-        _sum_of_products(d1, d1, (x.c, y.b), (x.d, y.d)),
+        _sum_of_products(d0, d0, (xa, ya), (xb, yc)),
+        _sum_of_products(d0, d1, (xa, yb), (xb, yd)),
+        _sum_of_products(d1, d0, (xc, ya), (xd, yc)),
+        _sum_of_products(d1, d1, (xc, yb), (xd, yd)),
     )
 
 
@@ -224,9 +251,14 @@ def supertrace(x: EndElement) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# Every value F(p, q) a sample can take, keyed by its draw (p, q).
+_SAMPLES = {(p, q): F(p, q) for p in range(-9, 10) for q in range(1, 10)}
+
+
 def _random_matrix(n: int, m: int, rng: random.Random) -> Matrix:
-    return tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
-                 for _ in range(n))
+    randint = rng.randint
+    return tuple([tuple([_SAMPLES[randint(-9, 9), randint(1, 9)] for _ in range(m)])
+                  for _ in range(n)])
 
 
 def random_homogeneous_queer(n: int, rng: random.Random) -> QueerElement:

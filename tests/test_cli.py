@@ -314,13 +314,14 @@ def test_byte_determinism(capsys, argv):
     assert first.encode() == second.encode()
 
 
-# SHA-256 of JSON reports pinned before a rewrite of the code behind them:
-# the integer queer products and the streamed signed counts (cancellation,
-# queer-check, fermion-trace), and the resolution signs derived from the
-# homological degree (bgg, resolve-signs, jacobi-verify), and the resolution
-# terms built from the (2, 8) Kac labels (bgg, resolve-signs), and the
-# iterative partition generators with integer fermion tallies (fermion-trace,
-# cancellation).
+# SHA-256 of reports (JSON unless --format text) pinned before a rewrite of
+# the code behind them: the integer queer products and the streamed signed
+# counts (cancellation, queer-check, fermion-trace), the resolution signs
+# derived from the homological degree (bgg, resolve-signs, jacobi-verify),
+# the resolution terms built from the (2, 8) Kac labels (bgg, resolve-signs),
+# the iterative partition generators with integer fermion tallies
+# (fermion-trace, cancellation), and the per-element integer blocks with
+# table-drawn samples (queer-check).
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
@@ -354,6 +355,8 @@ def test_byte_determinism(capsys, argv):
      "8097e452786fe1283a357c19688d1bd7bc441e0d3e33e8514cfe777c92b9877d"),
     (["cancellation", "--level", "23", "--format", "text"],
      "66930c778fb1884e9a01f7e7163ab2149dc9a194256d868f6c4c4423e7afd44f"),
+    (["queer-check", "--format", "text"],
+     "5964f2fdac1258093cf5bfdce0dee9a3796fcb4632dada809da6dff4106764e8"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     _, out = _capture(capsys, argv)

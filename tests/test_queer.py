@@ -17,6 +17,7 @@ from oddtrace.queer import (
     random_homogeneous_queer,
     supertrace,
 )
+from oddtrace.qseries import _clear_denominators
 
 F = Fraction
 
@@ -124,6 +125,114 @@ def test_end_mul_matches_fraction_reference(data, d0, d1):
         ref_mat_add(ref_mat_mul(xc, yb, d1, d0, d1), ref_mat_mul(xd, yd, d1, d1, d1)),
     ]
     assert [_as_lists(m) for m in (got.a, got.b, got.c, got.d)] == expected
+
+
+def to_full(e: EndElement):
+    """The (d0+d1) x (d0+d1) matrix (A B; C D) as lists."""
+    return ([list(ra) + list(rb) for ra, rb in zip(e.a, e.b)]
+            + [list(rc) + list(rd) for rc, rd in zip(e.c, e.d)])
+
+
+def blocks_of(e):
+    return (e.x, e.y) if isinstance(e, QueerElement) else (e.a, e.b, e.c, e.d)
+
+
+def assert_forms_are_scaled_blocks(e):
+    """Each cached integer form is None for a zero block, else the block's
+    lcm scale L with the rows and the columns of L times the block."""
+    for m, form in zip(blocks_of(e), e._forms):
+        entries = [x for row in m for x in row]
+        if not any(entries):
+            assert form is None
+            continue
+        scale, rows, cols = form
+        assert scale == _clear_denominators(entries)[0]
+        assert [list(r) for r in rows] == [[x * scale for x in row] for row in m]
+        assert [list(c) for c in cols] == [[x * scale for x in col] for col in zip(*m)]
+
+
+def assert_reuse_keeps_identity(elements, lists, build):
+    """Elements whose forms are filled stay equal, with equal hashes, to
+    freshly built copies whose forms are not."""
+    for e, blocks in zip(elements, lists):
+        assert_forms_are_scaled_blocks(e)
+        fresh = build(*blocks)
+        assert e == fresh and hash(e) == hash(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_cached_queer_forms(data, n):
+    lists = [(data.draw(block(n, n)), data.draw(block(n, n))) for _ in range(3)]
+    a, b, c = (QueerElement.from_lists(x, y) for x, y in lists)
+    ab, ba = queer_mul(a, b), queer_mul(b, a)
+    abc = queer_mul(ab, c)
+    assert to_block(ab) == block_mul(to_block(a), to_block(b))
+    assert to_block(ba) == block_mul(to_block(b), to_block(a))
+    assert to_block(abc) == block_mul(block_mul(to_block(a), to_block(b)), to_block(c))
+    assert_reuse_keeps_identity((a, b, c, ab), lists + [(ab.x, ab.y)],
+                                QueerElement.from_lists)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+def test_cached_end_forms(data, d0, d1):
+    shapes = [(d0, d0), (d0, d1), (d1, d0), (d1, d1)]
+    lists = [[data.draw(block(r, c)) for r, c in shapes] for _ in range(3)]
+    x, y, z = (EndElement.from_lists(d0, d1, *blocks) for blocks in lists)
+    xy, yx = end_mul(x, y), end_mul(y, x)
+    xyz = end_mul(xy, z)
+    d = d0 + d1
+    full_xy = ref_mat_mul(to_full(x), to_full(y), d, d, d)
+    assert to_full(xy) == full_xy
+    assert to_full(yx) == ref_mat_mul(to_full(y), to_full(x), d, d, d)
+    assert to_full(xyz) == ref_mat_mul(full_xy, to_full(z), d, d, d)
+    assert_reuse_keeps_identity((x, y, z, xy), lists + [blocks_of(xy)],
+                                lambda *blocks: EndElement.from_lists(d0, d1, *blocks))
+
+
+# ---------------------------------------------------------------------------
+# sampling: each entry is F(randint(-9, 9), randint(1, 9)), in this order
+# ---------------------------------------------------------------------------
+
+def ref_random_matrix(n, m, rng):
+    return tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
+                 for _ in range(n))
+
+
+def ref_zeros(n, m):
+    return tuple((F(0),) * m for _ in range(n))
+
+
+def ref_homogeneous_queer(n, rng):
+    if rng.random() < 0.5:
+        return QueerElement(n, ref_random_matrix(n, n, rng), ref_zeros(n, n))
+    return QueerElement(n, ref_zeros(n, n), ref_random_matrix(n, n, rng))
+
+
+def ref_homogeneous_end(d0, d1, rng):
+    if rng.random() < 0.5:
+        return EndElement(d0, d1, ref_random_matrix(d0, d0, rng), ref_zeros(d0, d1),
+                          ref_zeros(d1, d0), ref_random_matrix(d1, d1, rng))
+    return EndElement(d0, d1, ref_zeros(d0, d0), ref_random_matrix(d0, d1, rng),
+                      ref_random_matrix(d1, d0, rng), ref_zeros(d1, d1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 94099])
+def test_samples_follow_the_stream_of_record(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(8):
+        for n in range(1, 5):
+            got = random_homogeneous_queer(n, rng)
+            assert got == ref_homogeneous_queer(n, ref)
+            assert all(type(v) is Fraction for m in blocks_of(got) for row in m for v in row)
+        for d0 in range(4):
+            for d1 in range(4):
+                got = random_homogeneous_end(d0, d1, rng)
+                assert got == ref_homogeneous_end(d0, d1, ref)
+                assert all(type(v) is Fraction
+                           for m in blocks_of(got) for row in m for v in row)
+    assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
