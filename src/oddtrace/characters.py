@@ -146,23 +146,6 @@ class VerificationReport:
     passed: bool
     first_discrepancy: Optional[Tuple[Fraction, Fraction, Fraction]]
 
-    def to_json_dict(self) -> dict:
-        if self.first_discrepancy is None:
-            disc = None
-        else:
-            e, lhs, rhs = self.first_discrepancy
-            disc = {
-                "exp": [e.numerator, e.denominator],
-                "lhs": [lhs.numerator, lhs.denominator],
-                "rhs": [rhs.numerator, rhs.denominator],
-            }
-        return {
-            "name": self.name,
-            "order": [self.order.numerator, self.order.denominator],
-            "pass": self.passed,
-            "first_discrepancy": disc,
-        }
-
 
 def compare_series(name: str, lhs: FracPowerSeries, rhs: FracPowerSeries,
                    order: Fraction) -> VerificationReport:

@@ -1,10 +1,11 @@
 """Command-line front-end: every verification and expansion as a
-reproducible, scriptable report.
+reproducible, scriptable report, built here from the library's plain result
+types; no other module renders reports.
 
 Reports are byte-stable for identical invocations: JSON output uses sorted
-keys and exact rationals as [numerator, denominator] pairs; floats appear
-only in `modcheck` rows.  Exit codes: 0 success/pass, 1 verification
-failure, 2 usage or constraint error.
+keys and exact rationals as [numerator, denominator] pairs (`_q`); floats
+appear only in `modcheck` rows.  Exit codes: 0 success/pass, 1 verification
+failure, 2 usage or constraint error, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
-from .modcheck import TauPoint, check_S, check_T
+from .modcheck import ModularResidual, TauPoint, check_S, check_T
 from .qseries import FracPowerSeries, eta, euler_product
 
-__all__ = ["CommandConfig", "run", "main", "COMMANDS", "VERIFICATION_COMMANDS"]
+__all__ = ["CommandConfig", "run", "main", "COMMANDS"]
 
 F = Fraction
 
@@ -76,6 +77,31 @@ def _int_order(config: CommandConfig, minimum: int = 1) -> int:
     return int(config.order)
 
 
+def _q(x: Fraction) -> list:
+    return [x.numerator, x.denominator]
+
+
+def _verification(report: characters.VerificationReport) -> dict:
+    """The payload of one series comparison."""
+    disc = report.first_discrepancy
+    if disc is not None:
+        e, lhs, rhs = disc
+        disc = {"exp": _q(e), "lhs": _q(lhs), "rhs": _q(rhs)}
+    return {"name": report.name, "order": _q(report.order), "pass": report.passed,
+            "first_discrepancy": disc}
+
+
+def _residual_row(series: str, tau: TauPoint, res: ModularResidual, passed: bool,
+                  multiplier: Optional[float] = None) -> dict:
+    """One `modcheck` row; S rows carry their multiplier as [re, im]."""
+    row = {"series": series, "transform": res.transformation, "weight": _q(res.weight),
+           "tau": [tau.re, tau.im], "residual": res.residual,
+           "tail_bound": res.tail_bound, "pass": passed}
+    if multiplier is not None:
+        row["multiplier"] = [multiplier, 0.0]
+    return row
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, payload)
 # ---------------------------------------------------------------------------
@@ -94,7 +120,7 @@ def _cmd_eta3(config):
 def _cmd_jacobi_verify(config):
     """check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))"""
     report = characters.verify_jacobi(config.order)
-    return (0 if report.passed else 1), report.to_json_dict()
+    return (0 if report.passed else 1), _verification(report)
 
 
 def _cmd_fermion_trace(config):
@@ -102,7 +128,14 @@ def _cmd_fermion_trace(config):
     if config.level < 1:
         raise UsageError("--level must be >= 1")
     trace, report = characters._fermion_route(config.level)
-    payload = {"trace": trace.to_json_dict(), "verification": report.to_json_dict()}
+    payload = {
+        "trace": {
+            "prefactor_exponent": _q(trace.prefactor_exponent),
+            "levels": [[n, *_q(t)] for n, t in trace.levels],
+            "series": trace.series.to_json_dict(),
+        },
+        "verification": _verification(report),
+    }
     return (0 if report.passed else 1), payload
 
 
@@ -112,7 +145,7 @@ def _cmd_bgg(config):
     payload = {
         "signs": _signs_json(signs),
         "series": series.to_json_dict(),
-        "verification": report.to_json_dict(),
+        "verification": _verification(report),
     }
     return (0 if report.passed else 1), payload
 
@@ -138,7 +171,8 @@ def _signs_json(signs: Mapping[int, int]) -> dict:
 def _cmd_spectrum(config):
     """N=1 minimal-model central charge and Ramond weights"""
     entries = superalgebras.minimal_model_spectrum(config.p, config.pp)
-    return 0, superalgebras.spectrum_to_json(entries)
+    return 0, [{"p": e.p, "pp": e.pp, "r": e.r, "s": e.s, "c": _q(e.c), "h": _q(e.h)}
+               for e in entries]
 
 
 def _cmd_cancellation(config):
@@ -167,27 +201,16 @@ def _cmd_modcheck(config):
     e = eta(order)
     series = {"eta": (e, F(1, 2)), "eta^3": (e ** 3, F(3, 2))}
     rows = []
-    ok = True
     for name in sorted(series):
         s, weight = series[name]
         t_res = check_T(s, weight, tau)
-        row = t_res.to_json_dict(name, tau)
-        row["pass"] = t_res.residual < T_TOLERANCE
-        ok &= row["pass"]
-        rows.append(row)
+        rows.append(_residual_row(name, tau, t_res, t_res.residual < T_TOLERANCE))
         s_res = check_S(s, weight, tau, 1)
-        row = s_res.to_json_dict(name, tau)
-        row["multiplier"] = [1.0, 0.0]
-        row["pass"] = s_res.residual < S_TOLERANCE
-        ok &= row["pass"]
-        rows.append(row)
+        rows.append(_residual_row(name, tau, s_res, s_res.residual < S_TOLERANCE, 1.0))
     # elimination witness: the sign-flipped multiplier must fail visibly
     witness = check_S(series["eta^3"][0], F(3, 2), tau, -1)
-    row = witness.to_json_dict("eta^3", tau)
-    row["multiplier"] = [-1.0, 0.0]
-    row["pass"] = witness.residual > WITNESS_FLOOR
-    ok &= row["pass"]
-    rows.append(row)
+    rows.append(_residual_row("eta^3", tau, witness, witness.residual > WITNESS_FLOOR, -1.0))
+    ok = all(row["pass"] for row in rows)
     return (0 if ok else 1), {"rows": rows, "pass": ok}
 
 
@@ -219,8 +242,7 @@ def _cmd_queer_check(config):
         "supersymmetry_violations": susy_violations,
         "supertrace_odd_violations": str_violations,
         "probe_dimension": len(basis),
-        "probe_basis": [[[v[0].numerator, v[0].denominator],
-                         [v[1].numerator, v[1].denominator]] for v in basis],
+        "probe_basis": [[_q(x) for x in v] for v in basis],
         "pass": ok,
     }
     return (0 if ok else 1), payload
@@ -237,16 +259,6 @@ COMMANDS = {
     "cancellation": _cmd_cancellation,
     "modcheck": _cmd_modcheck,
     "queer-check": _cmd_queer_check,
-}
-
-# Which library verification operation each subcommand drives (coverage:
-# every verify_* is reachable from exactly one subcommand).  fermion-trace and
-# bgg run theirs through the characters helper behind it, which also returns
-# the trace or the signs and series the report prints.
-VERIFICATION_COMMANDS = {
-    "jacobi-verify": characters.verify_jacobi,
-    "fermion-trace": characters.verify_fermion_eta,
-    "bgg": characters.verify_bgg_equals_eta_cubed,
 }
 
 
@@ -350,7 +362,12 @@ def run(config: CommandConfig) -> int:
         return 2
     text = render_report(payload, config.fmt)
     if config.out:
-        _write_report(config.out, text)
+        try:
+            _write_report(config.out, text)
+        except OSError as exc:
+            print(f"error: cannot write report to {config.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

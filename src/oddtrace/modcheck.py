@@ -48,16 +48,6 @@ class ModularResidual:
     residual: float
     tail_bound: float
 
-    def to_json_dict(self, series: str, tau: TauPoint) -> dict:
-        return {
-            "series": series,
-            "transform": self.transformation,
-            "weight": [self.weight.numerator, self.weight.denominator],
-            "tau": [tau.re, tau.im],
-            "residual": self.residual,
-            "tail_bound": self.tail_bound,
-        }
-
 
 def eval_series(s: FracPowerSeries, tau: TauPoint) -> Tuple[complex, float]:
     """Sum of the stored terms at q = exp(2*pi*i*tau), with a tail bound.

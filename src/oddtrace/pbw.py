@@ -202,14 +202,6 @@ class GradedTraceReport:
     levels: Tuple[Tuple[int, Fraction], ...]
     series: FracPowerSeries
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prefactor_exponent": [self.prefactor_exponent.numerator,
-                                   self.prefactor_exponent.denominator],
-            "levels": [[n, t.numerator, t.denominator] for n, t in self.levels],
-            "series": self.series.to_json_dict(),
-        }
-
 
 def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     """Graded trace of psi_0 Theta q^{L_0 - c/24} over the Fock module.

@@ -35,7 +35,6 @@ __all__ = [
     "bracket",
     "minimal_model_spectrum",
     "g0_square_value",
-    "spectrum_to_json",
 ]
 
 
@@ -219,17 +218,3 @@ def g0_square_value(c: Fraction, h: Fraction) -> Fraction:
     vanishes exactly when h = c/24 (the 1-dimensional top space case).
     """
     return h - Fraction(c, 24)
-
-
-def spectrum_to_json(entries: List[SpectrumEntry]) -> list:
-    return [
-        {
-            "p": e.p,
-            "pp": e.pp,
-            "r": e.r,
-            "s": e.s,
-            "c": [e.c.numerator, e.c.denominator],
-            "h": [e.h.numerator, e.h.denominator],
-        }
-        for e in entries
-    ]

@@ -211,16 +211,6 @@ def test_compare_reports_injected_fault_at_lowest_exponent():
     assert e == EIGHTH and lhs == 1 and rhs == 2
 
 
-def test_report_json_shape():
-    data = verify_jacobi(20).to_json_dict()
-    assert data == {
-        "name": "jacobi-eta-cubed",
-        "order": [20, 1],
-        "pass": True,
-        "first_discrepancy": None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # verify_fermion_eta
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from oddtrace import characters
-from oddtrace.cli import (COMMANDS, VERIFICATION_COMMANDS, CommandConfig, build_parser,
-                          main, run)
+from oddtrace.cli import COMMANDS, CommandConfig, build_parser, main, run
+from oddtrace.qseries import FracPowerSeries
 
 F = Fraction
 
@@ -23,6 +23,17 @@ def _capture(capsys, argv):
 # ---------------------------------------------------------------------------
 # exit codes and payloads
 # ---------------------------------------------------------------------------
+
+def test_report_json_shape(capsys):
+    code, out = _capture(capsys, ["jacobi-verify", "--order", "20"])
+    assert code == 0
+    assert json.loads(out) == {
+        "name": "jacobi-eta-cubed",
+        "order": [20, 1],
+        "pass": True,
+        "first_discrepancy": None,
+    }
+
 
 def test_jacobi_verify_passes(capsys):
     code, out = _capture(capsys, ["jacobi-verify", "--order", "100", "--format", "json"])
@@ -111,6 +122,19 @@ def test_modcheck(capsys):
     assert len(data["rows"]) == 5
     witness = [r for r in data["rows"] if r.get("multiplier") == [-1.0, 0.0]]
     assert len(witness) == 1 and witness[0]["residual"] > 1e-2
+
+
+def test_residual_json_row(capsys):
+    # The residuals are floats from cmath, so the rows are pinned by structure.
+    _, out = _capture(capsys, ["modcheck", "--order", "50", "--tau", "0.1,0.9"])
+    rows = json.loads(out)["rows"]
+    assert [(r["series"], r["transform"], r.get("multiplier")) for r in rows] == [
+        ("eta", "T", None), ("eta", "S", [1.0, 0.0]),
+        ("eta^3", "T", None), ("eta^3", "S", [1.0, 0.0]), ("eta^3", "S", [-1.0, 0.0])]
+    assert [r["weight"] for r in rows] == [[1, 2], [1, 2], [3, 2], [3, 2], [3, 2]]
+    for row in rows:
+        assert row["tau"] == [0.1, 0.9] and isinstance(row["pass"], bool)
+        assert isinstance(row["residual"], float) and isinstance(row["tail_bound"], float)
 
 
 def test_modcheck_tau_with_negative_real_part(capsys):
@@ -224,10 +248,22 @@ def test_failed_out_write_keeps_the_old_report(tmp_path, capsys, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        main(["spectrum", "--out", str(path)])
+    assert main(["spectrum", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {path}: disk full\n"
     assert path.read_text() == "old report\n"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("target, reason", [
+    (".", "Is a directory"),
+    ("missing/report.json", "No such file or directory"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    assert main(["eta", "--order", "3", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write report to {path}: {reason}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_out_to_a_device_writes_through(capsys):
@@ -321,7 +357,9 @@ def test_byte_determinism(capsys, argv):
 # the resolution terms built from the (2, 8) Kac labels (bgg, resolve-signs),
 # the iterative partition generators with integer fermion tallies
 # (fermion-trace, cancellation), and the per-element integer blocks with
-# table-drawn samples (queer-check).
+# table-drawn samples (queer-check), and the report payloads built in `cli`
+# alone (spectrum, eta, eta3, jacobi-verify as text; a failing jacobi-verify
+# is pinned below).
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
@@ -357,9 +395,39 @@ def test_byte_determinism(capsys, argv):
      "66930c778fb1884e9a01f7e7163ab2149dc9a194256d868f6c4c4423e7afd44f"),
     (["queer-check", "--format", "text"],
      "5964f2fdac1258093cf5bfdce0dee9a3796fcb4632dada809da6dff4106764e8"),
+    (["spectrum"],
+     "f42edfceb634d5b509e1478c1cb434268b448b8d7056b8ecd1371825c6c7f0f3"),
+    (["spectrum", "--format", "text"],
+     "e55327d0af9e5277498d04cf98f614c1f85206f6202b59d35d49b79ce44091a8"),
+    (["spectrum", "--p", "5", "--pp", "7"],
+     "3d7f4f7c458146a7bfb9706fc977fe67122ce518fc8d1a3bb69284710f3f3e37"),
+    (["eta", "--order", "30"],
+     "adcdc8c886fec11f88c92ba09191ccbf73ead906f486af2944cb7efa600bd99c"),
+    (["eta3", "--order", "30"],
+     "f1157c1eb70415e3bc843412a6478e1e6d0227f326ee15bda5677913e32471c2"),
+    (["jacobi-verify", "--order", "20", "--format", "text"],
+     "96b56672e298f0921d7f2f3b1df065f7610ebb7fdbd9178ca750208fe7eba048"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, digest):
     _, out = _capture(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "ab80a67377ccc73b10cefaaad4efad0de0db2eeb7791717ba58d920a2b5dc0ec"),
+    ("text", "3258b8dfa45cc298e7b0139c235a4c08392620a34dacf77d3bee05960bdeabba"),
+])
+def test_failing_report_bytes_are_pinned(capsys, monkeypatch, fmt, digest):
+    # One extra q^(9/8) on the Jacobi side fills the exp/lhs/rhs branch.
+    real = characters.jacobi_rhs
+
+    def perturbed(n):
+        s = real(n)
+        return s + FracPowerSeries.monomial(F(9, 8), 1, s.truncation)
+
+    monkeypatch.setattr(characters, "jacobi_rhs", perturbed)
+    code, out = _capture(capsys, ["jacobi-verify", "--order", "20", "--format", fmt])
+    assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -368,15 +436,6 @@ def test_json_rationals_in_lowest_terms(capsys):
     data = json.loads(out)
     for _, num, den in data["terms"]:
         assert den > 0 and F(num, den) == F(num) / den
-
-
-def test_every_verification_reachable_from_exactly_one_command():
-    verify_ops = {characters.verify_jacobi, characters.verify_fermion_eta,
-                  characters.verify_bgg_equals_eta_cubed}
-    reached = list(VERIFICATION_COMMANDS.values())
-    assert set(reached) == verify_ops
-    assert len(reached) == len(verify_ops)
-    assert set(VERIFICATION_COMMANDS) <= set(COMMANDS)
 
 
 def test_run_accepts_config_directly(capsys):

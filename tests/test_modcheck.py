@@ -148,11 +148,3 @@ def test_check_S_residual_decreases_with_order():
         assert r_big <= r_small + 1e-12
     assert residuals[0] > 1e-9  # the order-2 truncation really is visible
     assert residuals[-1] < 1e-12
-
-
-def test_residual_json_row():
-    res = check_T(eta(50), F(1, 2), TAU)
-    row = res.to_json_dict("eta", TAU)
-    assert row["series"] == "eta" and row["transform"] == "T"
-    assert row["weight"] == [1, 2] and row["tau"] == [0.1, 0.9]
-    assert isinstance(row["residual"], float) and isinstance(row["tail_bound"], float)

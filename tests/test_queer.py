@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oddtrace.queer import (
@@ -94,15 +94,44 @@ def block(draw, rows, cols):
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
+# The block tests draw sizes and blocks from one flatmapped strategy, not
+# through st.data(), and leave out the explain phase: after a first failure
+# Hypothesis traces every run line by line to explain it, and with the
+# Fraction reference traced a shrink took minutes instead of seconds.
+NO_EXPLAIN = [p for p in Phase if p is not Phase.explain]
+
+
+def _shaped(shapes, count):
+    """`count` tuples holding one block of each (rows, cols) in `shapes`."""
+    return st.tuples(*[st.tuples(*(block(r, c) for r, c in shapes))] * count)
+
+
+def queer_blocks(count):
+    """(n, `count` pairs (X, Y) of n x n blocks) for n in 1..4."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), _shaped([(n, n)] * 2, count)))
+
+
+def end_shapes(d0, d1):
+    return [(d0, d0), (d0, d1), (d1, d0), (d1, d1)]
+
+
+def end_blocks(count):
+    """((d0, d1), `count` tuples (A, B, C, D) of End(d0|d1) blocks) for
+    d0, d1 in 0..3."""
+    return st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda d: st.tuples(st.just(d), _shaped(end_shapes(*d), count)))
+
+
 def _as_lists(m):
     assert all(type(x) is Fraction for row in m for x in row)
     return [list(row) for row in m]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 4))
-def test_queer_mul_matches_fraction_reference(data, n):
-    xa, ya, xb, yb = (data.draw(block(n, n)) for _ in range(4))
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(2))
+def test_queer_mul_matches_fraction_reference(case):
+    n, ((xa, ya), (xb, yb)) = case
     got = queer_mul(QueerElement.from_lists(xa, ya), QueerElement.from_lists(xb, yb))
     assert _as_lists(got.x) == ref_mat_add(ref_mat_mul(xa, xb, n, n, n),
                                            ref_mat_mul(ya, yb, n, n, n))
@@ -110,12 +139,10 @@ def test_queer_mul_matches_fraction_reference(data, n):
                                            ref_mat_mul(ya, xb, n, n, n))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(0, 3), st.integers(0, 3))
-def test_end_mul_matches_fraction_reference(data, d0, d1):
-    shapes = [(d0, d0), (d0, d1), (d1, d0), (d1, d1)]
-    x = [data.draw(block(r, c)) for r, c in shapes]
-    y = [data.draw(block(r, c)) for r, c in shapes]
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(end_blocks(2))
+def test_end_mul_matches_fraction_reference(case):
+    (d0, d1), (x, y) = case
     got = end_mul(EndElement.from_lists(d0, d1, *x), EndElement.from_lists(d0, d1, *y))
     (xa, xb, xc, xd), (ya, yb, yc, yd) = x, y
     expected = [
@@ -160,25 +187,24 @@ def assert_reuse_keeps_identity(elements, lists, build):
         assert e == fresh and hash(e) == hash(fresh)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data(), st.integers(1, 4))
-def test_cached_queer_forms(data, n):
-    lists = [(data.draw(block(n, n)), data.draw(block(n, n))) for _ in range(3)]
+@settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(3))
+def test_cached_queer_forms(case):
+    _, lists = case
     a, b, c = (QueerElement.from_lists(x, y) for x, y in lists)
     ab, ba = queer_mul(a, b), queer_mul(b, a)
     abc = queer_mul(ab, c)
     assert to_block(ab) == block_mul(to_block(a), to_block(b))
     assert to_block(ba) == block_mul(to_block(b), to_block(a))
     assert to_block(abc) == block_mul(block_mul(to_block(a), to_block(b)), to_block(c))
-    assert_reuse_keeps_identity((a, b, c, ab), lists + [(ab.x, ab.y)],
+    assert_reuse_keeps_identity((a, b, c, ab), [*lists, (ab.x, ab.y)],
                                 QueerElement.from_lists)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data(), st.integers(0, 3), st.integers(0, 3))
-def test_cached_end_forms(data, d0, d1):
-    shapes = [(d0, d0), (d0, d1), (d1, d0), (d1, d1)]
-    lists = [[data.draw(block(r, c)) for r, c in shapes] for _ in range(3)]
+@settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
+@given(end_blocks(3))
+def test_cached_end_forms(case):
+    (d0, d1), lists = case
     x, y, z = (EndElement.from_lists(d0, d1, *blocks) for blocks in lists)
     xy, yx = end_mul(x, y), end_mul(y, x)
     xyz = end_mul(xy, z)
@@ -187,7 +213,7 @@ def test_cached_end_forms(data, d0, d1):
     assert to_full(xy) == full_xy
     assert to_full(yx) == ref_mat_mul(to_full(y), to_full(x), d, d, d)
     assert to_full(xyz) == ref_mat_mul(full_xy, to_full(z), d, d, d)
-    assert_reuse_keeps_identity((x, y, z, xy), lists + [blocks_of(xy)],
+    assert_reuse_keeps_identity((x, y, z, xy), [*lists, blocks_of(xy)],
                                 lambda *blocks: EndElement.from_lists(d0, d1, *blocks))
 
 
