@@ -25,6 +25,7 @@ from .pbw import (
     enumerate_ns_monomials,
     fermion_odd_trace,
     signed_monomial_count,
+    signed_monomial_counts,
 )
 from .characters import (
     VerificationReport,
@@ -46,6 +47,7 @@ __all__ = [
     "g0_square_value", "minimal_model_spectrum",
     "GradedTraceReport", "PBWMonomial", "enumerate_fermion_monomials",
     "enumerate_ns_monomials", "fermion_odd_trace", "signed_monomial_count",
+    "signed_monomial_counts",
     "VerificationReport", "bgg_odd_trace", "resolution_signs", "resolve_signs",
     "verify_bgg_equals_eta_cubed", "verify_fermion_eta", "verify_jacobi",
     "EndElement", "QueerElement", "odd_trace", "queer_mul", "supertrace",

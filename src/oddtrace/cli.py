@@ -179,7 +179,7 @@ def _cmd_cancellation(config):
     """signed monomial counts (must vanish above level 0)"""
     if config.level < 1:
         raise UsageError("--level must be >= 1")
-    levels = [[n, pbw.signed_monomial_count(n)] for n in range(config.level + 1)]
+    levels = [[n, c] for n, c in enumerate(pbw.signed_monomial_counts(config.level))]
     counts_ok = all(c == (1 if n == 0 else 0) for n, c in levels)
     # independent q-series route: prod(1-q^n) * prod(1-q^n)^{-1} = 1
     ep = euler_product(config.level + 1)

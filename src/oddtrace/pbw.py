@@ -6,6 +6,11 @@ psi_{-n_1}...psi_{-n_t} w (fermion Fock module), applied to a top-space
 vector w.  Traces of the twisted operators are computed level by level from
 the explicit action on monomials and assembled into a q-series with the
 q^{h - c/24} prefactor.
+
+The sign (-1)^t of a monomial depends on its fermionic part alone.  So the
+signed counts and the fermion trace build no monomials: they tally the
+signed sum over the distinct partitions of each level once, and the Verma
+counts convolve those sums with the partition counts of the bosonic parts.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "enumerate_fermion_monomials",
     "enumerate_ns_monomials",
     "signed_monomial_count",
+    "signed_monomial_counts",
     "fermion_odd_trace",
     "FERMION_PREFACTOR_EXPONENT",
 ]
@@ -155,14 +161,35 @@ def enumerate_ns_monomials(level: int, top_dim: int) -> List[PBWMonomial]:
             for top in range(top_dim)]
 
 
+def _signed_distinct_counts(max_level: int) -> List[int]:
+    """Sum of (-1)^t over the distinct partitions of m, t the number of
+    parts, for m = 0..max_level."""
+    return [sum(-1 if len(ferm) & 1 else 1 for ferm in _distinct_partitions(m))
+            for m in range(max_level + 1)]
+
+
+def signed_monomial_counts(max_level: int) -> List[int]:
+    """Sum of (-1)^t over the monomials of each level 0..max_level (single
+    top vector), t the number of odd generators.  Equals 1 at level 0 and
+    vanishes at every positive level: odd and even fermionic lengths pair
+    off exactly.
+
+    The sign depends on the fermionic part alone, so level n counts
+    sum_j P(j) S(n - j), with P(j) the number of partitions of j (the
+    bosonic parts) and S the signed distinct-part sums.  Each partition is
+    enumerated once for all levels; no monomial or pair is built."""
+    if max_level < 0:
+        raise ValueError("max_level must be nonnegative")
+    bosonic = [sum(1 for _ in _partitions(j)) for j in range(max_level + 1)]
+    signed = _signed_distinct_counts(max_level)
+    return [sum(bosonic[j] * signed[n - j] for j in range(n + 1))
+            for n in range(max_level + 1)]
+
+
 def signed_monomial_count(level: int) -> int:
-    """Sum of (-1)^t over level monomials (single top vector), t the number
-    of odd generators.  Equals 1 at level 0 and vanishes at every positive
-    level: odd and even fermionic lengths pair off exactly.  Streams the
-    monomials' parts without building them."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return sum(-1 if len(ferm) & 1 else 1 for _, ferm in _partition_pairs(level))
+    """The signed count of one level: the last entry of
+    signed_monomial_counts(level)."""
+    return signed_monomial_counts(level)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +242,8 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     top_trace = _psi0_square(0) + _psi0_square(1)
-    levels = [(n, top_trace * sum(-1 if len(ferm) & 1 else 1
-                                  for ferm in _distinct_partitions(n)))
-              for n in range(max_level + 1)]
+    levels = [(n, top_trace * count)
+              for n, count in enumerate(_signed_distinct_counts(max_level))]
     series = FracPowerSeries.from_terms(
         {FERMION_PREFACTOR_EXPONENT + n: tr for n, tr in levels},
         truncation=FERMION_PREFACTOR_EXPONENT + max_level + 1,

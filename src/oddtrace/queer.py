@@ -12,8 +12,9 @@ Each element builds the integer form of its blocks (the lcm L of the entry
 denominators, and the rows and columns of L times the block) once, on its
 first product, and keeps it for the products it enters later.  One kernel
 multiplies those forms for both Q_n and End(N) and builds one Fraction per
-entry.  Random samples are drawn as rng.randint(-9, 9), rng.randint(1, 9)
-pairs and looked up in a fixed table of the 171 values they name.
+entry.  Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
+stream: each entry draws the pair with rng.getrandbits as CPython's
+randrange does, and looks it up in a fixed table of the 171 values it names.
 """
 
 from __future__ import annotations
@@ -256,18 +257,47 @@ _SAMPLES = {(p, q): F(p, q) for p in range(-9, 10) for q in range(1, 10)}
 
 
 def _random_matrix(n: int, m: int, rng: random.Random) -> Matrix:
-    randint = rng.randint
-    return tuple([tuple([_SAMPLES[randint(-9, 9), randint(1, 9)] for _ in range(m)])
-                  for _ in range(n)])
+    """Entries _SAMPLES[randint(-9, 9), randint(1, 9)], row by row.
+
+    Each randint draws as CPython's randrange does (3.10 to 3.13): a draw
+    of as many bits as the width has, 5 for the 19 numerators and 4 for
+    the 9 denominators, repeated while it is out of range."""
+    bits = rng.getrandbits
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            p = bits(5)
+            while p >= 19:
+                p = bits(5)
+            q = bits(4)
+            while q >= 9:
+                q = bits(4)
+            row.append(_SAMPLES[p - 9, q + 1])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def random_homogeneous_queer(n: int, rng: random.Random) -> QueerElement:
+    """Even or odd with probability 1/2 each (one rng.random() draw), its
+    nonzero block with entries p/q from randint(-9, 9), randint(1, 9).
+
+    The draws reproduce the randint stream of a random.Random, or of a
+    subclass that keeps its getrandbits; a subclass that overrides only
+    random() draws its randints from random() instead, and gets a
+    different stream here."""
     if rng.random() < 0.5:
         return QueerElement(n, _random_matrix(n, n, rng), _zeros(n, n))
     return QueerElement(n, _zeros(n, n), _random_matrix(n, n, rng))
 
 
 def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> EndElement:
+    """Even (A, D) or odd (B, C) with probability 1/2 each, with the
+    entries of random_homogeneous_queer, drawn block by block.
+
+    The draws reproduce the randint stream of a random.Random, or of a
+    subclass that keeps its getrandbits; a subclass that overrides only
+    random() gets a different stream, as for random_homogeneous_queer."""
     if rng.random() < 0.5:
         return EndElement(d0, d1, _random_matrix(d0, d0, rng), _zeros(d0, d1),
                           _zeros(d1, d0), _random_matrix(d1, d1, rng))

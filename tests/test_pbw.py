@@ -5,6 +5,7 @@ import pytest
 from oddtrace.pbw import (
     FERMION_PREFACTOR_EXPONENT,
     _distinct_partitions,
+    _partition_pairs,
     _partitions,
     PBWMonomial,
     enumerate_fermion_monomials,
@@ -12,6 +13,7 @@ from oddtrace.pbw import (
     fermion_odd_trace,
     psi0_theta_diagonal,
     signed_monomial_count,
+    signed_monomial_counts,
 )
 from oddtrace.qseries import eta, euler_product
 
@@ -190,6 +192,22 @@ def test_signed_count_vanishes_up_to_20():
     for n in range(15):
         assert signed_monomial_count(n) == sum(
             (-1) ** m.fermionic_length for m in enumerate_ns_monomials(n, 1))
+
+
+def pair_stream_signed_count(n):
+    """The signed count of record: (-1)^t summed over every (bosonic,
+    fermionic) partition pair of level n."""
+    return sum(-1 if len(ferm) & 1 else 1 for _, ferm in _partition_pairs(n))
+
+
+def test_signed_counts_match_the_pair_walk():
+    counts = signed_monomial_counts(25)
+    assert len(counts) == 26
+    for n, count in enumerate(counts):
+        assert count == pair_stream_signed_count(n)
+        assert count == signed_monomial_count(n)
+    with pytest.raises(ValueError):
+        signed_monomial_counts(-1)
 
 
 def test_signed_count_matches_product_identity():
