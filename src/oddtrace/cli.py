@@ -11,6 +11,7 @@ failure, 2 usage or constraint error, or a report that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -223,7 +224,7 @@ def _cmd_queer_check(config):
         a = queer.random_homogeneous_queer(n, rng)
         b = queer.random_homogeneous_queer(n, rng)
         sgn = (-1) ** (a.parity * b.parity)
-        if queer.odd_trace(queer.queer_mul(a, b)) != sgn * queer.odd_trace(queer.queer_mul(b, a)):
+        if queer.product_traces(a, b)[1] != sgn * queer.product_traces(b, a)[1]:
             susy_violations += 1
     # Structural: an odd random_homogeneous_end has zero A and D blocks, so
     # its supertrace is 0 by construction and no end_mul is taken here.
@@ -398,6 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on the first call and kept for the
+    process: parsing leaves it unchanged, and argparse makes its help
+    formatter only when it prints."""
+    return build_parser()
+
+
 def _attach_tau_value(argv: List[str]) -> List[str]:
     """Rewrite `--tau -0.3,0.9` as `--tau=-0.3,0.9`.
 
@@ -416,7 +425,7 @@ def _attach_tau_value(argv: List[str]) -> List[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_tau_value(argv))
+    args = _shared_parser().parse_args(_attach_tau_value(argv))
     return run(CommandConfig(**vars(args)))
 
 

@@ -12,7 +12,11 @@ Each element builds the integer form of its blocks (the lcm L of the entry
 denominators, and the rows and columns of L times the block) once, on its
 first product, and keeps it for the products it enters later.  One kernel
 multiplies those forms for both Q_n and End(N) and builds one Fraction per
-entry.  Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
+entry.  A trace of a product needs only the diagonal:
+_trace_of_products takes tr(a b) = sum_i row_i(a) . column_i(b) from the
+same forms, with O(n^2) integer work and one Fraction, and product_traces
+and product_supertrace take the traces of a product without forming it.
+Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
 stream: each entry draws the pair with rng.getrandbits as CPython's
 randrange does, and looks it up in a fixed table of the 171 values it names.
 """
@@ -23,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -35,8 +40,10 @@ __all__ = [
     "queer_mul",
     "odd_trace",
     "even_trace",
+    "product_traces",
     "supertrace",
     "end_mul",
+    "product_supertrace",
     "random_homogeneous_queer",
     "random_homogeneous_end",
     "q1_functional_solution_space",
@@ -101,6 +108,23 @@ def _sum_of_products(rows: int, cols: int, *pairs: Tuple[IntForm, IntForm]) -> M
             for j, col in enumerate(bcols):
                 out[j] += f * sum(map(mul, row, col))
     return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
+
+
+def _trace_of_products(*pairs: Tuple[IntForm, IntForm]) -> Fraction:
+    """tr of the sum of the products a b over the (a, b) pairs of integer
+    forms, without forming the products.
+
+    tr(a b) = sum_i row_i(a) . column_i(b): the rows of a and the columns of
+    b, flattened in order, give one dot product over La Lb.  Pairs with a
+    zero factor are skipped; the rest are accumulated over the lcm of their
+    scales into a single Fraction.
+    """
+    terms = [(a[0] * b[0], sum(map(mul, chain.from_iterable(a[1]), chain.from_iterable(b[2]))))
+             for a, b in pairs if a is not None and b is not None]
+    if not terms:
+        return _ZERO
+    den = lcm(*(s for s, _ in terms))
+    return Fraction(sum(den // s * t for s, t in terms), den)
 
 
 def _mat_trace(a: Matrix) -> Fraction:
@@ -180,6 +204,15 @@ def even_trace(a: QueerElement) -> Fraction:
     return _mat_trace(a.x)
 
 
+def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction]:
+    """(even_trace(ab), odd_trace(ab)) without forming ab:
+    (tr(Xa Xb + Ya Yb), tr(Xa Yb + Ya Xb))."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    (ax, ay), (bx, by) = a._forms, b._forms
+    return _trace_of_products((ax, bx), (ay, by)), _trace_of_products((ax, by), (ay, bx))
+
+
 @dataclass(frozen=True)
 class EndElement:
     """Element of End(N), N of dimension d0|d1, as blocks (A B; C D)."""
@@ -245,6 +278,15 @@ def end_mul(x: EndElement, y: EndElement) -> EndElement:
 def supertrace(x: EndElement) -> Fraction:
     """tr A - tr D; identically zero on odd elements."""
     return _mat_trace(x.a) - _mat_trace(x.d)
+
+
+def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
+    """supertrace(end_mul(x, y)) without forming the product:
+    tr(Ax Ay + Bx Cy) - tr(Cx By + Dx Dy)."""
+    if (x.d0, x.d1) != (y.d0, y.d1):
+        raise ValueError("size mismatch")
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = x._forms, y._forms
+    return _trace_of_products((xa, ya), (xb, yc)) - _trace_of_products((xc, yb), (xd, yd))
 
 
 # ---------------------------------------------------------------------------

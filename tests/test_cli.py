@@ -3,12 +3,14 @@ import json
 import os
 import shlex
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oddtrace import characters
+from oddtrace import characters, cli
 from oddtrace.cli import COMMANDS, CommandConfig, build_parser, main, run
 from oddtrace.qseries import FracPowerSeries
 
@@ -201,6 +203,30 @@ def test_help_lists_every_command_with_its_description(capsys):
         ("queer-check", "randomized supersymmetry checks and the Q_1 uniqueness probe"),
     ]:
         assert any(line.split() == [name, *description.split()] for line in lines), name
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of `python -m oddtrace.cli *argv` run in a
+    process of its own, on this checkout's package, 80 columns wide."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "oddtrace.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # main reuses one parser in a process; usage errors and --help before a
+    # valid call must leave nothing behind in it.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["spectrum", "--bogus"], ["spectrum", "--p", "x"], ["--help"],
+                 ["spectrum", "--p", "3", "--pp", "8"], ["spectrum"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv), argv
 
 
 def _readme_examples():

@@ -11,6 +11,8 @@ from oddtrace.queer import (
     end_mul,
     even_trace,
     odd_trace,
+    product_supertrace,
+    product_traces,
     q1_functional_solution_space,
     queer_mul,
     random_homogeneous_end,
@@ -152,6 +154,34 @@ def test_end_mul_matches_fraction_reference(case):
         ref_mat_add(ref_mat_mul(xc, yb, d1, d0, d1), ref_mat_mul(xd, yd, d1, d1, d1)),
     ]
     assert [_as_lists(m) for m in (got.a, got.b, got.c, got.d)] == expected
+
+
+# The trace kernel against the traces of the products it skips forming.
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(2))
+def test_product_traces_are_the_traces_of_queer_mul(case):
+    _, ((xa, ya), (xb, yb)) = case
+    a, b = QueerElement.from_lists(xa, ya), QueerElement.from_lists(xb, yb)
+    ab = queer_mul(a, b)
+    got = product_traces(a, b)
+    assert got == (even_trace(ab), odd_trace(ab))
+    assert all(type(t) is Fraction for t in got)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(end_blocks(2))
+def test_product_supertrace_is_the_supertrace_of_end_mul(case):
+    (d0, d1), (x, y) = case
+    x, y = EndElement.from_lists(d0, d1, *x), EndElement.from_lists(d0, d1, *y)
+    got = product_supertrace(x, y)
+    assert got == supertrace(end_mul(x, y)) and type(got) is Fraction
+
+
+def test_product_traces_size_mismatch():
+    with pytest.raises(ValueError):
+        product_traces(QueerElement.identity(2), QueerElement.identity(3))
+    with pytest.raises(ValueError):
+        product_supertrace(EndElement.identity(2, 1), EndElement.identity(1, 2))
 
 
 def to_full(e: EndElement):
