@@ -226,12 +226,12 @@ def _cmd_queer_check(config):
         sgn = (-1) ** (a.parity * b.parity)
         if queer.product_traces(a, b)[1] != sgn * queer.product_traces(b, a)[1]:
             susy_violations += 1
-    # Structural: an odd random_homogeneous_end has zero A and D blocks, so
-    # its supertrace is 0 by construction and no end_mul is taken here.
     str_violations = 0
     for _ in range(QUEER_TRIALS // 4):
-        e = queer.random_homogeneous_end(2, 2, rng)
-        if e.is_odd and queer.supertrace(e) != 0:
+        x = queer.random_homogeneous_end(2, 2, rng)
+        y = queer.random_homogeneous_end(2, 2, rng)
+        sgn = (-1) ** (x.parity * y.parity)
+        if queer.product_supertrace(x, y) != sgn * queer.product_supertrace(y, x):
             str_violations += 1
     pairs = [(queer.random_homogeneous_queer(1, rng), queer.random_homogeneous_queer(1, rng))
              for _ in range(50)]
@@ -241,7 +241,7 @@ def _cmd_queer_check(config):
     payload = {
         "trials": QUEER_TRIALS,
         "supersymmetry_violations": susy_violations,
-        "supertrace_odd_violations": str_violations,
+        "supertrace_violations": str_violations,
         "probe_dimension": len(basis),
         "probe_basis": [[_q(x) for x in v] for v in basis],
         "pass": ok,

@@ -170,6 +170,7 @@ def test_queer_check(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["supersymmetry_violations"] == 0
+    assert data["supertrace_violations"] == 0
     assert data["probe_dimension"] == 1
     assert data["probe_basis"] == [[[0, 1], [1, 1]]]
 
@@ -385,12 +386,13 @@ def test_byte_determinism(capsys, argv):
 # (fermion-trace, cancellation), and the per-element integer blocks with
 # table-drawn samples (queer-check), and the report payloads built in `cli`
 # alone (spectrum, eta, eta3, jacobi-verify as text; a failing jacobi-verify
-# is pinned below).
+# is pinned below).  The queer-check digests were pinned again when its
+# End(2|2) supertrace supersymmetry check went in.
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
     (["queer-check"],
-     "7a331de7a2240a815cfd3c0ca361dc13b6a914b64e412c10f83a925c50dbd92b"),
+     "be1d7265869aa8e49ce90ed831e7992e6a015591c12346e9f02d7e8c168f4248"),
     (["fermion-trace", "--level", "20"],
      "2d87845e3dd77c00c364902b444398d40cce322d0ec5dd6cf858d22162bf92fe"),
     (["bgg", "--order", "809/8"],
@@ -420,7 +422,7 @@ def test_byte_determinism(capsys, argv):
     (["cancellation", "--level", "23", "--format", "text"],
      "66930c778fb1884e9a01f7e7163ab2149dc9a194256d868f6c4c4423e7afd44f"),
     (["queer-check", "--format", "text"],
-     "5964f2fdac1258093cf5bfdce0dee9a3796fcb4632dada809da6dff4106764e8"),
+     "81acd221883988549bf1f9e3331f24d9cee80d3e9f05960bb040a185263b4579"),
     (["spectrum"],
      "f42edfceb634d5b509e1478c1cb434268b448b8d7056b8ecd1371825c6c7f0f3"),
     (["spectrum", "--format", "text"],
