@@ -10,15 +10,16 @@ are algebraic over any field of characteristic zero.
 
 Each element builds the integer form of its blocks (the lcm L of the entry
 denominators, and the rows and columns of L times the block) once, on its
-first product, and keeps it for the products it enters later.  One kernel
+first product or product trace, and keeps it for later ones.  One kernel
 multiplies those forms for both Q_n and End(N) and builds one Fraction per
-entry.  A trace of a product needs only the diagonal:
-_trace_of_products takes tr(a b) = sum_i row_i(a) . column_i(b) from the
-same forms, with O(n^2) integer work and one Fraction, and product_traces
-and product_supertrace take the traces of a product without forming it.
-Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
-stream: each entry draws the pair with rng.getrandbits as CPython's
-randrange does, and looks it up in a fixed table of the 171 values it names.
+entry.  A trace of a product needs only its diagonal, so a second kernel
+takes tr(a b) = sum_i row_i(a) . column_i(b) from the same forms: O(n^2)
+integer work and one Fraction, where the product costs n^3 and 2n^2
+Fractions.  product_traces and product_supertrace are built on it, and the
+supersymmetry checks of queer-check use them.  Random samples follow the
+rng.randint(-9, 9), rng.randint(1, 9) stream: each entry draws the pair
+with rng.getrandbits as CPython's randrange does, and looks it up in a
+fixed table of the 171 values it names.
 """
 
 from __future__ import annotations
