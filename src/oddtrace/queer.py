@@ -8,18 +8,22 @@ superspace N of dimension d0|d1 carries the supertrace tr A - tr D, which
 vanishes on every odd element.  Rational scalars suffice: the identities
 are algebraic over any field of characteristic zero.
 
-Each element builds the integer form of its blocks (the lcm L of the entry
-denominators, and the rows and columns of L times the block) once, on its
-first product or product trace, and keeps it for later ones.  One kernel
-multiplies those forms for both Q_n and End(N) and builds one Fraction per
-entry.  A trace of a product needs only its diagonal, so a second kernel
+Each element keeps the integer form of its blocks (the lcm L of the entry
+denominators, and the rows and columns of L times the block; None for a
+zero block).  A random sample gets its forms with its draws; any other
+element builds them once, on its first product, product trace or parity
+test.  Parity reads the forms: a block is zero when its form is None.
+One kernel multiplies those forms for both Q_n and End(N) and builds one
+Fraction per entry.  A trace of a product needs only its diagonal, so a second kernel
 takes tr(a b) = sum_i row_i(a) . column_i(b) from the same forms: O(n^2)
 integer work and one Fraction, where the product costs n^3 and 2n^2
-Fractions.  product_traces and product_supertrace are built on it, and the
-supersymmetry checks of queer-check use them.  Random samples follow the
-rng.randint(-9, 9), rng.randint(1, 9) stream: each entry draws the pair
-with rng.getrandbits as CPython's randrange does, and looks it up in a
-fixed table of the 171 values it names.
+Fractions.  product_odd_trace, product_traces and product_supertrace are
+built on it; queer-check uses product_odd_trace for the odd-trace check,
+product_supertrace for the End check and product_traces for the Q_1
+probe.  Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
+stream: each entry draws the pair with rng.getrandbits as CPython's
+randrange does, and looks up the value it names, and that value's reduced
+numerator and denominator, in two fixed tables of 171 entries.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "queer_mul",
     "odd_trace",
     "even_trace",
+    "product_odd_trace",
     "product_traces",
     "supertrace",
     "end_mul",
@@ -73,15 +78,22 @@ IntRows = Tuple[Tuple[int, ...], ...]
 IntForm = Optional[Tuple[int, IntRows, IntRows]]
 
 
-def _int_form(m: Matrix) -> IntForm:
-    """None for a zero block, else (L, rows of L * m, columns of L * m) with
-    L the lcm of the entry denominators."""
-    if _is_zero(m):
+def _form(scale: int, nums: Sequence[int], width: int) -> IntForm:
+    """The integer form of a block from its scale L and nums, the entries of
+    L times the block row by row, width to a row: None for a zero or empty
+    block, else (L, rows, columns)."""
+    if not any(nums):
         return None
+    nums = tuple(nums)
+    return (scale, tuple([nums[i:i + width] for i in range(0, len(nums), width)]),
+            tuple([nums[j::width] for j in range(width)]))
+
+
+def _int_form(m: Matrix) -> IntForm:
+    """The integer form of the block m, with L the lcm of the entry
+    denominators."""
     scale, nums = _clear_denominators([x for row in m for x in row])
-    w = len(m[0])
-    rows = tuple(tuple(nums[i:i + w]) for i in range(0, len(nums), w))
-    return scale, rows, tuple(zip(*rows))
+    return _form(scale, nums, len(m[0]) if m else 0)
 
 
 def _sum_of_products(rows: int, cols: int, *pairs: Tuple[IntForm, IntForm]) -> Matrix:
@@ -132,11 +144,6 @@ def _mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
-def _is_zero(a: Matrix) -> bool:
-    # Entries of the shared zero compare by identity, with no Fraction call.
-    return not a or a == _zeros(len(a), len(a[0]))
-
-
 @dataclass(frozen=True)
 class QueerElement:
     """Element (X Y; Y X) of Q_n; X is the even block, Y the odd one."""
@@ -170,11 +177,11 @@ class QueerElement:
 
     @property
     def is_even(self) -> bool:
-        return _is_zero(self.y)
+        return self._forms[1] is None
 
     @property
     def is_odd(self) -> bool:
-        return _is_zero(self.x)
+        return self._forms[0] is None
 
     @property
     def parity(self) -> int:
@@ -205,13 +212,20 @@ def even_trace(a: QueerElement) -> Fraction:
     return _mat_trace(a.x)
 
 
-def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction]:
-    """(even_trace(ab), odd_trace(ab)) without forming ab:
-    (tr(Xa Xb + Ya Yb), tr(Xa Yb + Ya Xb))."""
+def product_odd_trace(a: QueerElement, b: QueerElement) -> Fraction:
+    """odd_trace(ab) without forming ab: tr(Xa Yb + Ya Xb)."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     (ax, ay), (bx, by) = a._forms, b._forms
-    return _trace_of_products((ax, bx), (ay, by)), _trace_of_products((ax, by), (ay, bx))
+    return _trace_of_products((ax, by), (ay, bx))
+
+
+def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction]:
+    """(even_trace(ab), odd_trace(ab)) without forming ab:
+    (tr(Xa Xb + Ya Yb), product_odd_trace(a, b))."""
+    odd = product_odd_trace(a, b)
+    (ax, ay), (bx, by) = a._forms, b._forms
+    return _trace_of_products((ax, bx), (ay, by)), odd
 
 
 @dataclass(frozen=True)
@@ -247,11 +261,13 @@ class EndElement:
 
     @property
     def is_even(self) -> bool:
-        return _is_zero(self.b) and _is_zero(self.c)
+        _, b, c, _ = self._forms
+        return b is None and c is None
 
     @property
     def is_odd(self) -> bool:
-        return _is_zero(self.a) and _is_zero(self.d)
+        a, _, _, d = self._forms
+        return a is None and d is None
 
     @property
     def parity(self) -> int:
@@ -295,57 +311,81 @@ def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# Every value F(p, q) a sample can take, keyed by its draw (p, q).
-_SAMPLES = {(p, q): F(p, q) for p in range(-9, 10) for q in range(1, 10)}
+# Every value F(p - 9, q + 1) a sample can take, at the index 9 p + q of
+# its draws p = randint(-9, 9) + 9 and q = randint(1, 9) - 1, and beside it
+# the value's reduced numerator and denominator.
+_SAMPLES = [F(p - 9, q + 1) for p in range(19) for q in range(9)]
+_REDUCED = [(v.numerator, v.denominator) for v in _SAMPLES]
 
 
-def _random_matrix(n: int, m: int, rng: random.Random) -> Matrix:
-    """Entries _SAMPLES[randint(-9, 9), randint(1, 9)], row by row.
+def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]:
+    """The n x m block with entries F(randint(-9, 9), randint(1, 9)), row
+    by row, looked up in _SAMPLES, and its integer form.
 
     Each randint draws as CPython's randrange does (3.10 to 3.13): a draw
     of as many bits as the width has, 5 for the 19 numerators and 4 for
-    the 9 denominators, repeated while it is out of range."""
+    the 9 denominators, repeated while it is out of range.  The form is the
+    one _int_form gives, built from _REDUCED: its scale is the lcm of the
+    reduced denominators."""
     bits = rng.getrandbits
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(m):
+    size = n * m
+    draws = []
+    for _ in range(size):
+        p = bits(5)
+        while p >= 19:
             p = bits(5)
-            while p >= 19:
-                p = bits(5)
+        q = bits(4)
+        while q >= 9:
             q = bits(4)
-            while q >= 9:
-                q = bits(4)
-            row.append(_SAMPLES[p - 9, q + 1])
-        rows.append(tuple(row))
-    return tuple(rows)
+        draws.append(9 * p + q)
+    if not size:
+        return _zeros(n, m), None
+    values = [_SAMPLES[d] for d in draws]
+    block = tuple([tuple(values[i:i + m]) for i in range(0, size, m)])
+    reduced = [_REDUCED[d] for d in draws]
+    scale = lcm(*[q for _, q in reduced])
+    return block, _form(scale, [p * (scale // q) for p, q in reduced], m)
+
+
+def _with_forms(e, forms):
+    """e with the cached_property _forms filled in; it is no dataclass
+    field, so == and hash are unchanged."""
+    object.__setattr__(e, "_forms", forms)
+    return e
 
 
 def random_homogeneous_queer(n: int, rng: random.Random) -> QueerElement:
     """Even or odd with probability 1/2 each (one rng.random() draw), its
     nonzero block with entries p/q from randint(-9, 9), randint(1, 9).
+    The integer forms come with the draws.
 
     The draws reproduce the randint stream of a random.Random, or of a
     subclass that keeps its getrandbits; a subclass that overrides only
     random() draws its randints from random() instead, and gets a
     different stream here."""
+    zero = _zeros(n, n)
     if rng.random() < 0.5:
-        return QueerElement(n, _random_matrix(n, n, rng), _zeros(n, n))
-    return QueerElement(n, _zeros(n, n), _random_matrix(n, n, rng))
+        x, fx = _random_matrix(n, n, rng)
+        return _with_forms(QueerElement(n, x, zero), (fx, None))
+    y, fy = _random_matrix(n, n, rng)
+    return _with_forms(QueerElement(n, zero, y), (None, fy))
 
 
 def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> EndElement:
     """Even (A, D) or odd (B, C) with probability 1/2 each, with the
-    entries of random_homogeneous_queer, drawn block by block.
+    entries of random_homogeneous_queer, drawn block by block.  The integer
+    forms come with the draws.
 
     The draws reproduce the randint stream of a random.Random, or of a
     subclass that keeps its getrandbits; a subclass that overrides only
     random() gets a different stream, as for random_homogeneous_queer."""
     if rng.random() < 0.5:
-        return EndElement(d0, d1, _random_matrix(d0, d0, rng), _zeros(d0, d1),
-                          _zeros(d1, d0), _random_matrix(d1, d1, rng))
-    return EndElement(d0, d1, _zeros(d0, d0), _random_matrix(d0, d1, rng),
-                      _random_matrix(d1, d0, rng), _zeros(d1, d1))
+        (a, fa), (d, fd) = _random_matrix(d0, d0, rng), _random_matrix(d1, d1, rng)
+        return _with_forms(EndElement(d0, d1, a, _zeros(d0, d1), _zeros(d1, d0), d),
+                           (fa, None, None, fd))
+    (b, fb), (c, fc) = _random_matrix(d0, d1, rng), _random_matrix(d1, d0, rng)
+    return _with_forms(EndElement(d0, d1, _zeros(d0, d0), b, c, _zeros(d1, d1)),
+                       (None, fb, fc, None))
 
 
 def q1_functional_solution_space(
@@ -361,9 +401,8 @@ def q1_functional_solution_space(
     rows = []
     for a, b in pairs:
         sgn = (-1) ** (a.parity * b.parity)
-        ab, ba = queer_mul(a, b), queer_mul(b, a)
-        rows.append((even_trace(ab) - sgn * even_trace(ba),
-                     odd_trace(ab) - sgn * odd_trace(ba)))
+        (even_ab, odd_ab), (even_ba, odd_ba) = product_traces(a, b), product_traces(b, a)
+        rows.append((even_ab - sgn * even_ba, odd_ab - sgn * odd_ba))
     # nullspace of an m x 2 system, exact
     pivot = next((r for r in rows if r != (0, 0)), None)
     if pivot is None:

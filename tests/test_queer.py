@@ -11,6 +11,7 @@ from oddtrace.queer import (
     end_mul,
     even_trace,
     odd_trace,
+    product_odd_trace,
     product_supertrace,
     product_traces,
     q1_functional_solution_space,
@@ -169,6 +170,15 @@ def test_product_traces_are_the_traces_of_queer_mul(case):
 
 
 @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(2))
+def test_product_odd_trace_is_the_odd_trace_of_queer_mul(case):
+    _, ((xa, ya), (xb, yb)) = case
+    a, b = QueerElement.from_lists(xa, ya), QueerElement.from_lists(xb, yb)
+    got = product_odd_trace(a, b)
+    assert got == odd_trace(queer_mul(a, b)) and type(got) is Fraction
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
 @given(end_blocks(2))
 def test_product_supertrace_is_the_supertrace_of_end_mul(case):
     (d0, d1), (x, y) = case
@@ -180,6 +190,8 @@ def test_product_supertrace_is_the_supertrace_of_end_mul(case):
 def test_product_traces_size_mismatch():
     with pytest.raises(ValueError):
         product_traces(QueerElement.identity(2), QueerElement.identity(3))
+    with pytest.raises(ValueError):
+        product_odd_trace(QueerElement.identity(2), QueerElement.identity(3))
     with pytest.raises(ValueError):
         product_supertrace(EndElement.identity(2, 1), EndElement.identity(1, 2))
 
@@ -282,13 +294,41 @@ def test_samples_follow_the_stream_of_record(seed):
             got = random_homogeneous_queer(n, rng)
             assert got == ref_homogeneous_queer(n, ref)
             assert all(type(v) is Fraction for m in blocks_of(got) for row in m for v in row)
+            assert_forms_are_scaled_blocks(got)
         for d0 in range(4):
             for d1 in range(4):
                 got = random_homogeneous_end(d0, d1, rng)
                 assert got == ref_homogeneous_end(d0, d1, ref)
                 assert all(type(v) is Fraction
                            for m in blocks_of(got) for row in m for v in row)
+                assert_forms_are_scaled_blocks(got)
     assert rng.getstate() == ref.getstate()
+
+
+# ---------------------------------------------------------------------------
+# parity, read off the integer forms: a zero block has the form None
+# ---------------------------------------------------------------------------
+
+def test_queer_parity_of_built_elements():
+    even = QueerElement.from_lists([[1, F(1, 2)], [0, 3]], [[0, F(0, 7)], [0, 0]])
+    assert even.is_even and not even.is_odd and even.parity == 0
+    odd = QueerElement.from_lists([[0, 0], [0, 0]], [[0, F(-2, 3)], [0, 0]])
+    assert odd.is_odd and not odd.is_even and odd.parity == 1
+    with pytest.raises(ValueError, match="element is not homogeneous"):
+        QueerElement.from_lists([[1]], [[1]]).parity
+
+
+def test_end_parity_with_empty_blocks():
+    # With d0 = 0 the blocks A, B and C are empty, and count as zero.
+    even = EndElement.from_lists(0, 2, [], [], [[], []], [[1, 0], [0, 2]])
+    assert even.is_even and not even.is_odd and even.parity == 0
+    zero = EndElement.from_lists(0, 2, [], [], [[], []], [[0, 0], [0, 0]])
+    assert zero.is_even and zero.is_odd and zero.parity == 0
+    assert EndElement.identity(0, 0).is_odd and EndElement.identity(0, 0).parity == 0
+    odd = EndElement.from_lists(1, 1, [[0]], [[F(1, 2)]], [[0]], [[0]])
+    assert odd.is_odd and not odd.is_even and odd.parity == 1
+    with pytest.raises(ValueError, match="element is not homogeneous"):
+        EndElement.from_lists(1, 1, [[1]], [[1]], [[0]], [[0]]).parity
 
 
 # ---------------------------------------------------------------------------
