@@ -223,15 +223,13 @@ def _cmd_queer_check(config):
         n = rng.randint(1, 4)
         a = queer.random_homogeneous_queer(n, rng)
         b = queer.random_homogeneous_queer(n, rng)
-        sgn = (-1) ** (a.parity * b.parity)
-        if queer.product_odd_trace(a, b) != sgn * queer.product_odd_trace(b, a):
+        if not queer.supersymmetric(a, b):
             susy_violations += 1
     str_violations = 0
     for _ in range(QUEER_TRIALS // 4):
         x = queer.random_homogeneous_end(2, 2, rng)
         y = queer.random_homogeneous_end(2, 2, rng)
-        sgn = (-1) ** (x.parity * y.parity)
-        if queer.product_supertrace(x, y) != sgn * queer.product_supertrace(y, x):
+        if not queer.supersymmetric(x, y):
             str_violations += 1
     pairs = [(queer.random_homogeneous_queer(1, rng), queer.random_homogeneous_queer(1, rng))
              for _ in range(50)]

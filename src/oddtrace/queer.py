@@ -10,20 +10,30 @@ are algebraic over any field of characteristic zero.
 
 Each element keeps the integer form of its blocks (the lcm L of the entry
 denominators, and the rows and columns of L times the block; None for a
-zero block).  A random sample gets its forms with its draws; any other
-element builds them once, on its first product, product trace or parity
-test.  Parity reads the forms: a block is zero when its form is None.
-One kernel multiplies those forms for both Q_n and End(N) and builds one
-Fraction per entry.  A trace of a product needs only its diagonal, so a second kernel
-takes tr(a b) = sum_i row_i(a) . column_i(b) from the same forms: O(n^2)
-integer work and one Fraction, where the product costs n^3 and 2n^2
-Fractions.  product_odd_trace, product_traces and product_supertrace are
-built on it; queer-check uses product_odd_trace for the odd-trace check,
-product_supertrace for the End check and product_traces for the Q_1
-probe.  Random samples follow the rng.randint(-9, 9), rng.randint(1, 9)
-stream: each entry draws the pair with rng.getrandbits as CPython's
-randrange does, and looks up the value it names, and that value's reduced
-numerator and denominator, in two fixed tables of 171 entries.
+zero block).  A random sample gets its forms with its draws and is built
+without re-checking its shapes; any other element builds them once, on
+its first product, product trace or parity test.  Parity reads the forms:
+a block is zero when its form is None.  One kernel multiplies those forms
+for both Q_n and End(N) and builds one Fraction per entry.  A trace of a
+product needs only its diagonal, so a second kernel takes
+tr(a b) = sum_i row_i(a) . column_i(b) from the same forms, as an
+unreduced integer ratio: O(n^2) integer work, where the product costs n^3
+and 2n^2 Fractions.  product_odd_trace, product_traces and
+product_supertrace turn that ratio into one Fraction; supersymmetric
+compares the two sides of phi(ab) = (-1)^{p(a)p(b)} phi(ba) by
+cross-multiplying the ratios, and builds no Fraction.
+
+queer-check runs supersymmetric on both loops and takes the Q_1 probe's
+traces from product_traces.  On Q_n, when a and b have the same parity,
+each term of tr(Xa Yb + Ya Xb) has a zero factor and both sides are 0: of
+the 1000 pairs at its seed 94099 only the 486 mixed-parity ones carry
+content, and there the sign is +1.  The sign (-1)^{p(a)p(b)} is exercised
+only by the 62 odd.odd pairs of its 250 End(2|2) pairs.
+
+Random samples follow the rng.randint(-9, 9), rng.randint(1, 9) stream:
+each entry draws the pair with rng.getrandbits as CPython's randrange
+does, and looks up the value it names in a fixed table of 171 entries,
+and its numerator at the block's scale in a table keyed by the scale.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ __all__ = [
     "supertrace",
     "end_mul",
     "product_supertrace",
+    "supersymmetric",
     "random_homogeneous_queer",
     "random_homogeneous_end",
     "q1_functional_solution_space",
@@ -123,21 +134,29 @@ def _sum_of_products(rows: int, cols: int, *pairs: Tuple[IntForm, IntForm]) -> M
     return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
 
 
-def _trace_of_products(*pairs: Tuple[IntForm, IntForm]) -> Fraction:
-    """tr of the sum of the products a b over the (a, b) pairs of integer
-    forms, without forming the products.
+def _trace_ratio(*terms: Tuple[int, IntForm, IntForm]) -> Tuple[int, int]:
+    """The sum of sign * tr(a b) over the (sign, a, b) terms of integer
+    forms, as an unreduced (numerator, denominator) with a positive
+    denominator, without forming the products.
 
     tr(a b) = sum_i row_i(a) . column_i(b): the rows of a and the columns of
-    b, flattened in order, give one dot product over La Lb.  Pairs with a
-    zero factor are skipped; the rest are accumulated over the lcm of their
-    scales into a single Fraction.
+    b, flattened in order, give one dot product over La Lb.  Terms with a
+    zero factor are skipped; the rest are added over the product of their
+    scales, so no gcd or lcm is taken.
     """
-    terms = [(a[0] * b[0], sum(map(mul, chain.from_iterable(a[1]), chain.from_iterable(b[2]))))
-             for a, b in pairs if a is not None and b is not None]
-    if not terms:
-        return _ZERO
-    den = lcm(*(s for s, _ in terms))
-    return Fraction(sum(den // s * t for s, t in terms), den)
+    num, den = 0, 1
+    for sign, a, b in terms:
+        if a is None or b is None:
+            continue
+        scale = a[0] * b[0]
+        dot = sum(map(mul, chain.from_iterable(a[1]), chain.from_iterable(b[2])))
+        num, den = num * scale + sign * dot * den, den * scale
+    return num, den
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den, reduced; 0 without building a Fraction."""
+    return Fraction(num, den) if num else _ZERO
 
 
 def _mat_trace(a: Matrix) -> Fraction:
@@ -212,12 +231,17 @@ def even_trace(a: QueerElement) -> Fraction:
     return _mat_trace(a.x)
 
 
-def product_odd_trace(a: QueerElement, b: QueerElement) -> Fraction:
-    """odd_trace(ab) without forming ab: tr(Xa Yb + Ya Xb)."""
+def _odd_trace_ratio(a: QueerElement, b: QueerElement) -> Tuple[int, int]:
+    """odd_trace(ab) as an unreduced ratio: tr(Xa Yb + Ya Xb)."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     (ax, ay), (bx, by) = a._forms, b._forms
-    return _trace_of_products((ax, by), (ay, bx))
+    return _trace_ratio((1, ax, by), (1, ay, bx))
+
+
+def product_odd_trace(a: QueerElement, b: QueerElement) -> Fraction:
+    """odd_trace(ab) without forming ab: tr(Xa Yb + Ya Xb)."""
+    return _fraction(*_odd_trace_ratio(a, b))
 
 
 def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction]:
@@ -225,7 +249,7 @@ def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction
     (tr(Xa Xb + Ya Yb), product_odd_trace(a, b))."""
     odd = product_odd_trace(a, b)
     (ax, ay), (bx, by) = a._forms, b._forms
-    return _trace_of_products((ax, bx), (ay, by)), odd
+    return _fraction(*_trace_ratio((1, ax, bx), (1, ay, by))), odd
 
 
 @dataclass(frozen=True)
@@ -297,13 +321,41 @@ def supertrace(x: EndElement) -> Fraction:
     return _mat_trace(x.a) - _mat_trace(x.d)
 
 
-def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
-    """supertrace(end_mul(x, y)) without forming the product:
+def _supertrace_ratio(x: EndElement, y: EndElement) -> Tuple[int, int]:
+    """supertrace(end_mul(x, y)) as an unreduced ratio:
     tr(Ax Ay + Bx Cy) - tr(Cx By + Dx Dy)."""
     if (x.d0, x.d1) != (y.d0, y.d1):
         raise ValueError("size mismatch")
     (xa, xb, xc, xd), (ya, yb, yc, yd) = x._forms, y._forms
-    return _trace_of_products((xa, ya), (xb, yc)) - _trace_of_products((xc, yb), (xd, yd))
+    return _trace_ratio((1, xa, ya), (1, xb, yc), (-1, xc, yb), (-1, xd, yd))
+
+
+def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
+    """supertrace(end_mul(x, y)) without forming the product:
+    tr(Ax Ay + Bx Cy) - tr(Cx By + Dx Dy)."""
+    return _fraction(*_supertrace_ratio(x, y))
+
+
+def supersymmetric(a, b) -> bool:
+    """Whether phi(ab) = (-1)^{p(a)p(b)} phi(ba) for the homogeneous a and b,
+    both in Q_n or both in End(N), where phi is the odd trace on Q_n and
+    the supertrace on End(N).
+
+    Each side is an unreduced integer ratio from the cached forms, and the
+    two are compared by cross-multiplication, with the sign taken from the
+    parities; no Fraction is built.  A non-homogeneous element raises
+    ValueError, as its parity does.
+    """
+    if type(a) is not type(b):
+        raise TypeError("both elements must be in Q_n or both in End(N)")
+    ratio = _odd_trace_ratio if isinstance(a, QueerElement) else _supertrace_ratio
+    return _ratios_equal(ratio(a, b), ratio(b, a), -1 if a.parity & b.parity else 1)
+
+
+def _ratios_equal(r: Tuple[int, int], s: Tuple[int, int], sign: int) -> bool:
+    """Whether r = sign * s, for unreduced ratios (num, den) with positive
+    denominators, by cross-multiplication."""
+    return r[0] * s[1] == sign * s[0] * r[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +368,12 @@ def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
 # the value's reduced numerator and denominator.
 _SAMPLES = [F(p - 9, q + 1) for p in range(19) for q in range(9)]
 _REDUCED = [(v.numerator, v.denominator) for v in _SAMPLES]
+_DENOMINATORS = [q for _, q in _REDUCED]
+# The numerators of the values at each scale a block can have, the lcm of
+# some of the denominators 1..9: the 48 divisors of 2520.  At a scale s the
+# entry of a value is s times it, read only when its denominator divides s.
+_NUMERATORS_AT = {s: [p * (s // q) for p, q in _REDUCED]
+                  for s in range(1, 2521) if 2520 % s == 0}
 
 
 def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]:
@@ -325,8 +383,8 @@ def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]
     Each randint draws as CPython's randrange does (3.10 to 3.13): a draw
     of as many bits as the width has, 5 for the 19 numerators and 4 for
     the 9 denominators, repeated while it is out of range.  The form is the
-    one _int_form gives, built from _REDUCED: its scale is the lcm of the
-    reduced denominators."""
+    one _int_form gives: its scale is the lcm of the reduced denominators,
+    and its entries are read from _NUMERATORS_AT at that scale."""
     bits = rng.getrandbits
     size = n * m
     draws = []
@@ -342,15 +400,17 @@ def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]
         return _zeros(n, m), None
     values = [_SAMPLES[d] for d in draws]
     block = tuple([tuple(values[i:i + m]) for i in range(0, size, m)])
-    reduced = [_REDUCED[d] for d in draws]
-    scale = lcm(*[q for _, q in reduced])
-    return block, _form(scale, [p * (scale // q) for p, q in reduced], m)
+    scale = lcm(*map(_DENOMINATORS.__getitem__, draws))
+    return block, _form(scale, list(map(_NUMERATORS_AT[scale].__getitem__, draws)), m)
 
 
-def _with_forms(e, forms):
-    """e with the cached_property _forms filled in; it is no dataclass
-    field, so == and hash are unchanged."""
-    object.__setattr__(e, "_forms", forms)
+def _sampled(cls, **fields):
+    """An element of cls whose fields and _forms cache are set together,
+    without __init__ and its shape checks: the samplers build every block
+    at its shape.  _forms is no dataclass field, so == and hash are those of
+    the element the public constructor builds from the same fields."""
+    e = object.__new__(cls)
+    e.__dict__.update(fields)
     return e
 
 
@@ -366,9 +426,9 @@ def random_homogeneous_queer(n: int, rng: random.Random) -> QueerElement:
     zero = _zeros(n, n)
     if rng.random() < 0.5:
         x, fx = _random_matrix(n, n, rng)
-        return _with_forms(QueerElement(n, x, zero), (fx, None))
+        return _sampled(QueerElement, n=n, x=x, y=zero, _forms=(fx, None))
     y, fy = _random_matrix(n, n, rng)
-    return _with_forms(QueerElement(n, zero, y), (None, fy))
+    return _sampled(QueerElement, n=n, x=zero, y=y, _forms=(None, fy))
 
 
 def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> EndElement:
@@ -381,11 +441,11 @@ def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> EndElement:
     random() gets a different stream, as for random_homogeneous_queer."""
     if rng.random() < 0.5:
         (a, fa), (d, fd) = _random_matrix(d0, d0, rng), _random_matrix(d1, d1, rng)
-        return _with_forms(EndElement(d0, d1, a, _zeros(d0, d1), _zeros(d1, d0), d),
-                           (fa, None, None, fd))
+        return _sampled(EndElement, d0=d0, d1=d1, a=a, b=_zeros(d0, d1), c=_zeros(d1, d0),
+                        d=d, _forms=(fa, None, None, fd))
     (b, fb), (c, fc) = _random_matrix(d0, d1, rng), _random_matrix(d1, d0, rng)
-    return _with_forms(EndElement(d0, d1, _zeros(d0, d0), b, c, _zeros(d1, d1)),
-                       (None, fb, fc, None))
+    return _sampled(EndElement, d0=d0, d1=d1, a=_zeros(d0, d0), b=b, c=c,
+                    d=_zeros(d1, d1), _forms=(None, fb, fc, None))
 
 
 def q1_functional_solution_space(
@@ -400,9 +460,11 @@ def q1_functional_solution_space(
     """
     rows = []
     for a, b in pairs:
-        sgn = (-1) ** (a.parity * b.parity)
         (even_ab, odd_ab), (even_ba, odd_ba) = product_traces(a, b), product_traces(b, a)
-        rows.append((even_ab - sgn * even_ba, odd_ab - sgn * odd_ba))
+        if a.parity & b.parity:
+            rows.append((even_ab + even_ba, odd_ab + odd_ba))
+        else:
+            rows.append((even_ab - even_ba, odd_ab - odd_ba))
     # nullspace of an m x 2 system, exact
     pivot = next((r for r in rows if r != (0, 0)), None)
     if pivot is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oddtrace import characters, cli
+from oddtrace import characters, cli, queer
 from oddtrace.cli import COMMANDS, CommandConfig, build_parser, main, run
 from oddtrace.qseries import FracPowerSeries
 
@@ -173,6 +173,31 @@ def test_queer_check(capsys):
     assert data["supertrace_violations"] == 0
     assert data["probe_dimension"] == 1
     assert data["probe_basis"] == [[[0, 1], [1, 1]]]
+
+
+def test_queer_check_counts_violations(capsys, monkeypatch):
+    # Dropping the parity sign breaks only the 62 odd.odd End(2|2) pairs: on
+    # Q_n the pairs of equal parity have the odd trace 0 on both sides.
+    compare = queer._ratios_equal
+    monkeypatch.setattr(queer, "_ratios_equal", lambda r, s, sign: compare(r, s, 1))
+    code, out = _capture(capsys, ["queer-check"])
+    data = json.loads(out)
+    assert (code, data["pass"]) == (1, False)
+    assert data["supertrace_violations"] == 62 and data["supersymmetry_violations"] == 0
+    monkeypatch.undo()
+    # Adding 1 to the numerator of phi(ab) when a is odd breaks every Q_n
+    # pair with an odd factor.
+    ratio = queer._odd_trace_ratio
+
+    def shifted(a, b):
+        num, den = ratio(a, b)
+        return num + a.parity, den
+
+    monkeypatch.setattr(queer, "_odd_trace_ratio", shifted)
+    code, out = _capture(capsys, ["queer-check"])
+    data = json.loads(out)
+    assert (code, data["pass"]) == (1, False)
+    assert data["supersymmetry_violations"] > 0 and data["supertrace_violations"] == 0
 
 
 def test_unknown_flag_exits_2():

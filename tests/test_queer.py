@@ -18,8 +18,10 @@ from oddtrace.queer import (
     queer_mul,
     random_homogeneous_end,
     random_homogeneous_queer,
+    supersymmetric,
     supertrace,
 )
+from oddtrace.queer import _odd_trace_ratio, _ratios_equal, _supertrace_ratio
 from oddtrace.qseries import _clear_denominators
 
 F = Fraction
@@ -196,6 +198,81 @@ def test_product_traces_size_mismatch():
         product_supertrace(EndElement.identity(2, 1), EndElement.identity(1, 2))
 
 
+# ---------------------------------------------------------------------------
+# supersymmetric: unreduced integer ratios compared by cross-multiplication
+# ---------------------------------------------------------------------------
+
+def homogeneous(blocks, odd, zero_at):
+    """The blocks with those of the other parity zeroed: zero_at[odd] lists
+    the indices of the blocks an element of that parity has zero."""
+    return [[[0] * len(row) for row in m] if i in zero_at[odd] else m
+            for i, m in enumerate(blocks)]
+
+
+QUEER_ZERO_AT = ((1,), (0,))           # even: Y = 0; odd: X = 0
+END_ZERO_AT = ((1, 2), (0, 3))         # even: B = C = 0; odd: A = D = 0
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(4), st.lists(st.booleans(), min_size=2, max_size=2),
+       st.sampled_from([1, -1]))
+def test_queer_integer_comparison_agrees_with_fractions(case, odd, sign):
+    _, lists = case
+    a, b = (QueerElement.from_lists(*homogeneous(blocks, p, QUEER_ZERO_AT))
+            for blocks, p in zip(lists, odd))
+    sgn = (-1) ** (a.parity * b.parity)
+    assert supersymmetric(a, b) is True
+    assert product_odd_trace(a, b) == sgn * product_odd_trace(b, a)
+    # Two unrelated products: the comparison is often False, and equal when
+    # both traces vanish.
+    c, d = (QueerElement.from_lists(x, y) for x, y in lists[2:])
+    assert _ratios_equal(_odd_trace_ratio(a, c), _odd_trace_ratio(b, d), sign) == (
+        odd_trace(queer_mul(a, c)) == sign * odd_trace(queer_mul(b, d)))
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(end_blocks(4), st.lists(st.booleans(), min_size=2, max_size=2),
+       st.sampled_from([1, -1]))
+def test_end_integer_comparison_agrees_with_fractions(case, odd, sign):
+    (d0, d1), lists = case
+    x, y = (EndElement.from_lists(d0, d1, *homogeneous(blocks, p, END_ZERO_AT))
+            for blocks, p in zip(lists, odd))
+    sgn = (-1) ** (x.parity * y.parity)
+    assert supersymmetric(x, y) is True
+    assert product_supertrace(x, y) == sgn * product_supertrace(y, x)
+    z, w = (EndElement.from_lists(d0, d1, *blocks) for blocks in lists[2:])
+    assert _ratios_equal(_supertrace_ratio(x, z), _supertrace_ratio(y, w), sign) == (
+        supertrace(end_mul(x, z)) == sign * supertrace(end_mul(y, w)))
+
+
+def test_integer_comparison_can_fail():
+    th, one = QueerElement.theta(1), QueerElement.identity(1)
+    half = QueerElement.from_lists([[F(1, 2)]], [[0]])
+    # tr(theta 1) = 1 against tr(theta (1/2)) = 1/2, and the unreduced 2/4
+    # of (2 theta)(1/4) against 1/2.
+    assert _odd_trace_ratio(th, one) == (1, 1)
+    assert not _ratios_equal(_odd_trace_ratio(th, one), _odd_trace_ratio(th, half), 1)
+    quarter = QueerElement.from_lists([[F(1, 4)]], [[0]])
+    two_th = QueerElement.from_lists([[0]], [[2]])
+    assert _odd_trace_ratio(two_th, quarter) == (2, 4)
+    assert _ratios_equal(_odd_trace_ratio(two_th, quarter), _odd_trace_ratio(th, half), 1)
+    assert not _ratios_equal(_odd_trace_ratio(two_th, quarter),
+                             _odd_trace_ratio(th, half), -1)
+    # The supertrace is one signed sum: str(1 1) = 2 - 1 on End(2|1).
+    e = EndElement.identity(2, 1)
+    assert _supertrace_ratio(e, e) == (1, 1)
+    assert not _ratios_equal(_supertrace_ratio(e, e), (-1, 1), 1)
+
+
+def test_supersymmetric_needs_homogeneous_elements_of_one_algebra():
+    with pytest.raises(ValueError, match="element is not homogeneous"):
+        supersymmetric(QueerElement.from_lists([[1]], [[1]]), QueerElement.theta(1))
+    with pytest.raises(TypeError):
+        supersymmetric(QueerElement.theta(1), EndElement.identity(1, 0))
+    with pytest.raises(ValueError):
+        supersymmetric(QueerElement.theta(1), QueerElement.theta(2))
+
+
 def to_full(e: EndElement):
     """The (d0+d1) x (d0+d1) matrix (A B; C D) as lists."""
     return ([list(ra) + list(rb) for ra, rb in zip(e.a, e.b)]
@@ -305,6 +382,22 @@ def test_samples_follow_the_stream_of_record(seed):
     assert rng.getstate() == ref.getstate()
 
 
+def test_samples_equal_their_public_copies():
+    # The samplers skip __init__; a copy through it checks the shapes, and
+    # must be equal with an equal hash.
+    rng = random.Random(94099)
+    for _ in range(8):
+        for n in range(1, 5):
+            e = random_homogeneous_queer(n, rng)
+            copy = QueerElement(e.n, e.x, e.y)
+            assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+        for d0 in range(4):
+            for d1 in range(4):
+                e = random_homogeneous_end(d0, d1, rng)
+                copy = EndElement(e.d0, e.d1, e.a, e.b, e.c, e.d)
+                assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+
+
 # ---------------------------------------------------------------------------
 # parity, read off the integer forms: a zero block has the form None
 # ---------------------------------------------------------------------------
@@ -387,6 +480,14 @@ def test_supertrace_supersymmetry(seed):
 def test_end_blocks_validated():
     with pytest.raises(ValueError):
         EndElement.from_lists(2, 1, [[1, 0], [0, 1]], [[1], [1]], [[1]], [[1]])
+
+
+def test_queer_blocks_validated():
+    two = ((F(1), F(0)), (F(0), F(1)))
+    with pytest.raises(ValueError, match="^x must be 2x2$"):
+        QueerElement(2, ((F(1),),), two)
+    with pytest.raises(ValueError, match="^y must be 2x2$"):
+        QueerElement(2, two, (two[0], (F(0),)))
 
 
 # ---------------------------------------------------------------------------
