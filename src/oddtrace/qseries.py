@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -321,17 +322,31 @@ def euler_product(order: int) -> FracPowerSeries:
 
     Factors with n >= order cannot touch exponents below `order`, so this
     equals the infinite product to the declared truncation.
+
+    The dense integer list a is multiplied by each (1 - q^n) in place,
+    a[k] -= a[k - n] for n <= k < order, with a[k - n] read before this
+    factor updates it.  Coefficients below n are settled: no later factor
+    reaches them.  Every k >= 2n reads a[k - n] at or above n, so one slice
+    step updates them all.  Each n <= k < 2n reads a settled a[k - n], so
+    only the settled nonzero indices j < n, kept in ascending order, update
+    a[j + n]; this step writes a[n:2n], which the slice step reads, so it
+    runs second.  Then a[n] is settled and joins the indices when nonzero,
+    and the series is built from them alone.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    # Multiply the dense coefficient list by each (1 - q^n) in place; the
-    # descending index reads a[k - n] before this factor has updated it.
     a = [0] * order
     a[0] = 1
+    nonzero = [0]
     for n in range(1, order):
-        for k in range(order - 1, n - 1, -1):
-            a[k] -= a[k - n]
-    return FracPowerSeries(1, order, dict(enumerate(a)))
+        a[2 * n:] = map(sub, a[2 * n:], a[n:order - n])
+        for j in nonzero:
+            if j + n >= order:
+                break
+            a[j + n] -= a[j]
+        if a[n]:
+            nonzero.append(n)
+    return FracPowerSeries(1, order, {j: a[j] for j in nonzero})
 
 
 def eta(order: int) -> FracPowerSeries:

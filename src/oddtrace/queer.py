@@ -23,17 +23,20 @@ product_supertrace turn that ratio into one Fraction; supersymmetric
 compares the two sides of phi(ab) = (-1)^{p(a)p(b)} phi(ba) by
 cross-multiplying the ratios, and builds no Fraction.
 
-queer-check runs supersymmetric on both loops and takes the Q_1 probe's
-traces from product_traces.  On Q_n, when a and b have the same parity,
-each term of tr(Xa Yb + Ya Xb) has a zero factor and both sides are 0: of
-the 1000 pairs at its seed 94099 only the 486 mixed-parity ones carry
-content, and there the sign is +1.  The sign (-1)^{p(a)p(b)} is exercised
-only by the 62 odd.odd pairs of its 250 End(2|2) pairs.
+queer-check runs supersymmetric on both loops.  On Q_n, when a and b have
+the same parity, each term of tr(Xa Yb + Ya Xb) has a zero factor and
+both sides are 0: of the 1000 pairs at its seed 94099 only the 486
+mixed-parity ones carry content, and there the sign is +1.  The sign
+(-1)^{p(a)p(b)} is exercised only by the 62 odd.odd pairs of its 250
+End(2|2) pairs.  The Q_1 probe takes each constraint as two unreduced
+ratios from the same kernel, tests independence by cross-multiplying and
+builds Fractions only for the basis it returns.
 
 Random samples follow the rng.randint(-9, 9), rng.randint(1, 9) stream:
 each entry draws the pair with rng.getrandbits as CPython's randrange
 does, and looks up the value it names in a fixed table of 171 entries,
-and its numerator at the block's scale in a table keyed by the scale.
+and its numerator at the block's scale in a table keyed by the scale,
+whose rows are built on first use.
 """
 
 from __future__ import annotations
@@ -369,11 +372,20 @@ def _ratios_equal(r: Tuple[int, int], s: Tuple[int, int], sign: int) -> bool:
 _SAMPLES = [F(p - 9, q + 1) for p in range(19) for q in range(9)]
 _REDUCED = [(v.numerator, v.denominator) for v in _SAMPLES]
 _DENOMINATORS = [q for _, q in _REDUCED]
-# The numerators of the values at each scale a block can have, the lcm of
-# some of the denominators 1..9: the 48 divisors of 2520.  At a scale s the
-# entry of a value is s times it, read only when its denominator divides s.
-_NUMERATORS_AT = {s: [p * (s // q) for p, q in _REDUCED]
-                  for s in range(1, 2521) if 2520 % s == 0}
+
+
+class _NumeratorRows(dict):
+    """The numerators of the values at each scale a block can have, the lcm
+    of some of the denominators 1..9: one of the 48 divisors of 2520.  At a
+    scale s the entry of a value is s times it, read only when its
+    denominator divides s.  Each scale's row is built on its first use."""
+
+    def __missing__(self, s: int) -> List[int]:
+        row = self[s] = [p * (s // q) for p, q in _REDUCED]
+        return row
+
+
+_NUMERATORS_AT = _NumeratorRows()
 
 
 def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]:
@@ -460,11 +472,15 @@ def q1_functional_solution_space(
     """
     rows = []
     for a, b in pairs:
-        (even_ab, odd_ab), (even_ba, odd_ba) = product_traces(a, b), product_traces(b, a)
-        if a.parity & b.parity:
-            rows.append((even_ab + even_ba, odd_ab + odd_ba))
-        else:
-            rows.append((even_ab - even_ba, odd_ab - odd_ba))
+        if a.n != b.n:
+            raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+        # The constraint tr(ab) - (-1)^{p(a)p(b)} tr(ba) = 0 on each block,
+        # as unreduced ratios; the row is both times their denominators.
+        s = 1 if a.parity & b.parity else -1
+        (ax, ay), (bx, by) = a._forms, b._forms
+        even, even_den = _trace_ratio((1, ax, bx), (1, ay, by), (s, bx, ax), (s, by, ay))
+        odd, odd_den = _trace_ratio((1, ax, by), (1, ay, bx), (s, bx, ay), (s, by, ax))
+        rows.append((even * odd_den, odd * even_den))
     # nullspace of an m x 2 system, exact
     pivot = next((r for r in rows if r != (0, 0)), None)
     if pivot is None:
@@ -475,4 +491,4 @@ def q1_functional_solution_space(
             return []
     v = (-q, p)
     scale = next(x for x in v if x != 0)
-    return [(v[0] / scale, v[1] / scale)]
+    return [(F(v[0], scale), F(v[1], scale))]

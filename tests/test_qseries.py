@@ -175,6 +175,28 @@ def test_euler_product_matches_pentagonal_theorem_to_1000():
     assert {int(e): c for e, c in ep.terms()} == oracle_pentagonal_coeffs(1000)
 
 
+def factor_by_factor_euler_coeffs(order):
+    """The dense loop euler_product replaced: every (1 - q^n) updates every
+    k >= n, with a descending index."""
+    a = [0] * order
+    a[0] = 1
+    for n in range(1, order):
+        for k in range(order - 1, n - 1, -1):
+            a[k] -= a[k - n]
+    return {k: c for k, c in enumerate(a) if c}
+
+
+@pytest.mark.parametrize("order", [*range(1, 81), 342, 359, 1000])
+def test_euler_product_matches_factor_by_factor_loop(order):
+    # Orders 1..80 cross every 2n >= order edge of the slice step, and the
+    # closed-form orders and 1000 the settled list at length.
+    ep = euler_product(order)
+    assert ep.truncation == order
+    terms = {int(e): c for e, c in ep.terms()}
+    assert all(c != 0 for c in terms.values())
+    assert terms == factor_by_factor_euler_coeffs(order)
+
+
 def test_eta_prefactor_and_grid():
     e = eta(10)
     assert e.denominator == 24

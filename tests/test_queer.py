@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -21,6 +25,7 @@ from oddtrace.queer import (
     supersymmetric,
     supertrace,
 )
+from oddtrace import queer
 from oddtrace.queer import _odd_trace_ratio, _ratios_equal, _supertrace_ratio
 from oddtrace.qseries import _clear_denominators
 
@@ -382,6 +387,21 @@ def test_samples_follow_the_stream_of_record(seed):
     assert rng.getstate() == ref.getstate()
 
 
+def test_numerator_rows_are_built_on_first_use():
+    # A fresh process that imports oddtrace has built no row.
+    env = {**os.environ, "PYTHONPATH": str(Path(queer.__file__).resolve().parents[1])}
+    probe = "import oddtrace, oddtrace.queer as q; print(len(q._NUMERATORS_AT))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0"]
+    for s in (s for s in range(1, 2521) if 2520 % s == 0):
+        row = queer._NUMERATORS_AT[s]
+        assert row == [p * (s // q) for p, q in queer._REDUCED]
+        # Where the value's denominator divides s, the entry is s times it.
+        assert all(n == v * s for n, v in zip(row, queer._SAMPLES) if s % v.denominator == 0)
+    assert len(queer._NUMERATORS_AT) == 48
+
+
 def test_samples_equal_their_public_copies():
     # The samplers skip __init__; a copy through it checks the shapes, and
     # must be equal with an equal hash.
@@ -500,6 +520,45 @@ def test_q1_solution_space_is_odd_trace_line():
              for _ in range(50)]
     basis = q1_functional_solution_space(pairs)
     assert basis == [(F(0), F(1))]
+
+
+def fraction_q1_solution_space(pairs):
+    """The probe on Fraction traces: each row is tr(ab) - (-1)^{p(a)p(b)} tr(ba)
+    on the even and the odd block."""
+    rows = []
+    for a, b in pairs:
+        (even_ab, odd_ab), (even_ba, odd_ba) = product_traces(a, b), product_traces(b, a)
+        sgn = (-1) ** (a.parity * b.parity)
+        rows.append((even_ab - sgn * even_ba, odd_ab - sgn * odd_ba))
+    pivot = next((r for r in rows if r != (0, 0)), None)
+    if pivot is None:
+        return [(F(1), F(0)), (F(0), F(1))]
+    p, q = pivot
+    if any(r[0] * q != r[1] * p for r in rows):
+        return []
+    scale = -q if q else p
+    return [(-q / scale, p / scale)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_q1_probe_matches_fraction_probe(seed):
+    # One to four pairs at sizes 1..3: about half the seeds give only zero
+    # constraints, the full plane, and the rest the odd trace's line.  A
+    # wrong sign on either block would leave no solution or the full plane.
+    rng = random.Random(seed)
+    n, count = rng.randint(1, 3), rng.randint(1, 4)
+    pairs = [(random_homogeneous_queer(n, rng), random_homogeneous_queer(n, rng))
+             for _ in range(count)]
+    th = QueerElement.theta(n)
+    for case in (pairs, [(th, th), *pairs], [(th, th)]):
+        basis = q1_functional_solution_space(case)
+        assert basis == fraction_q1_solution_space(case)
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_q1_probe_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        q1_functional_solution_space([(QueerElement.theta(1), QueerElement.theta(2))])
 
 
 def test_q1_probe_with_no_constraints_is_full_space():
