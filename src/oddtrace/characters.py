@@ -23,6 +23,7 @@ from math import ceil, floor, isqrt
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import pbw
+from .errors import ConstraintError
 from .qseries import FracPowerSeries, eta, jacobi_rhs
 from .superalgebras import central_charge, conformal_weight, g0_square_value
 
@@ -158,7 +159,7 @@ def verify_jacobi(order: Fraction) -> VerificationReport:
     """Coefficientwise check of eta^3 = q^(1/8) sum (4n+1) q^(n(2n+1)) below order."""
     order = Fraction(order)
     if order < F(1, 8):
-        raise ValueError("order must be at least 1/8")
+        raise ConstraintError("order must be at least 1/8")
     n = max(1, ceil(order - F(1, 8)))
     return compare_series("jacobi-eta-cubed", eta(n) ** 3, jacobi_rhs(n), order)
 
@@ -190,7 +191,7 @@ def _bgg_route(order: Fraction
     eta^3/4, which is built only for the comparison."""
     order = Fraction(order)
     if order < F(1, 8):
-        raise ValueError("order must be at least 1/8")
+        raise ConstraintError("order must be at least 1/8")
     terms = _resolution_terms(order)
     signs = {k: sign for k, _, _, _, sign in terms}
     lhs = _sum_terms(terms, order, signs)

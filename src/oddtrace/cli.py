@@ -6,6 +6,9 @@ Reports are byte-stable for identical invocations: JSON output uses sorted
 keys and exact rationals as [numerator, denominator] pairs (`_q`); floats
 appear only in `modcheck` rows.  Exit codes: 0 success/pass, 1 verification
 failure, 2 usage or constraint error, or a report that cannot be written.
+`main` lets any other exception through, since it is a fault of the program
+and not of its input; the `oddtrace` command (`console`) prints its
+traceback and exits 3.
 """
 
 from __future__ import annotations
@@ -19,15 +22,17 @@ import re
 import stat
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
+from .errors import ConstraintError
 from .modcheck import ModularResidual, TauPoint, check_S, check_T
 from .qseries import FracPowerSeries, eta, euler_product
 
-__all__ = ["CommandConfig", "run", "main", "COMMANDS"]
+__all__ = ["CommandConfig", "run", "main", "console", "COMMANDS", "CAPS"]
 
 F = Fraction
 
@@ -36,6 +41,21 @@ T_TOLERANCE = 1e-10
 WITNESS_FLOOR = 1e-2
 QUEER_TRIALS = 1000
 QUEER_SEED = 94099
+INTERNAL_ERROR = 3
+
+# The largest --order or --level each command takes: each costs about 1 s
+# there (Python 3.11, shared 2-core host).  euler_product is O(order^2), and
+# the partition enumerations grow exponentially with the level.
+CAPS = {
+    "eta": ("order", 8000),
+    "eta3": ("order", 8000),
+    "jacobi-verify": ("order", 8000),
+    "bgg": ("order", 8000),
+    "resolve-signs": ("order", 8000),
+    "modcheck": ("order", 8000),
+    "fermion-trace": ("level", 75),
+    "cancellation": ("level", 52),
+}
 
 
 @dataclass
@@ -48,10 +68,6 @@ class CommandConfig:
     tau: Tuple[float, float] = (0.1, 0.9)
     fmt: str = "json"
     out: Optional[str] = None
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -73,8 +89,8 @@ def _parse_tau(text: str) -> Tuple[float, float]:
 
 def _int_order(config: CommandConfig, minimum: int = 1) -> int:
     if config.order.denominator != 1 or config.order < minimum:
-        raise UsageError(f"--order must be an integer >= {minimum} for this command "
-                         f"(got {config.order})")
+        raise ConstraintError(f"--order must be an integer >= {minimum} for this command "
+                              f"(got {config.order})")
     return int(config.order)
 
 
@@ -127,7 +143,7 @@ def _cmd_jacobi_verify(config):
 def _cmd_fermion_trace(config):
     """brute-force fermion odd trace and its eta check"""
     if config.level < 1:
-        raise UsageError("--level must be >= 1")
+        raise ConstraintError("--level must be >= 1")
     trace, report = characters._fermion_route(config.level)
     payload = {
         "trace": {
@@ -179,7 +195,7 @@ def _cmd_spectrum(config):
 def _cmd_cancellation(config):
     """signed monomial counts (must vanish above level 0)"""
     if config.level < 1:
-        raise UsageError("--level must be >= 1")
+        raise ConstraintError("--level must be >= 1")
     levels = [[n, c] for n, c in enumerate(pbw.signed_monomial_counts(config.level))]
     counts_ok = all(c == (1 if n == 0 else 0) for n, c in levels)
     # independent q-series route: prod(1-q^n) * prod(1-q^n)^{-1} = 1
@@ -355,8 +371,9 @@ def run(config: CommandConfig) -> int:
         print(f"error: unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
+        _check_cap(config)
         code, payload = handler(config)
-    except ValueError as exc:
+    except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_report(payload, config.fmt)
@@ -372,16 +389,28 @@ def run(config: CommandConfig) -> int:
     return code
 
 
+def _check_cap(config: CommandConfig) -> None:
+    if config.command in CAPS:
+        flag, cap = CAPS[config.command]
+        value = getattr(config, flag)
+        if value > cap:
+            raise ConstraintError(f"--{flag} {value} is above the cap of {cap} for "
+                                  f"{config.command}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flags are left out of the namespace unless given, so that the defaults
     # live in CommandConfig alone.  `python -OO` strips the docstrings.
     commands = "".join(f"  {name:<15}{handler.__doc__ or ''}\n"
                        for name, handler in COMMANDS.items())
+    caps = "".join(f"  {name:<15}--{flag} <= {cap}\n" for name, (flag, cap) in CAPS.items())
     parser = argparse.ArgumentParser(
         prog="oddtrace",
         description="Exact q-series characters of the free fermion and the "
                     "c = -21/4 Ramond algebra,\nwith verification reports.",
-        epilog="commands:\n" + commands,
+        epilog=f"commands:\n{commands}\ncaps, about 1 s of work each:\n{caps}\n"
+               "exit codes: 0 pass, 1 verification failure, 2 usage or constraint error\n"
+               "or a report that cannot be written, 3 a fault of the program",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         argument_default=argparse.SUPPRESS)
     parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
@@ -427,5 +456,16 @@ def main(argv=None) -> int:
     return run(CommandConfig(**vars(args)))
 
 
+def console(argv=None) -> int:
+    """`main` for the `oddtrace` command: an exception that `main` lets
+    through is a fault of the program, so its traceback goes to stderr and
+    the exit code is 3, apart from the codes of a verification or its input."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

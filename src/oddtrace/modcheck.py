@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from .errors import ConstraintError
 from .qseries import FracPowerSeries
 
 __all__ = ["TauPoint", "ModularResidual", "eval_series", "check_T", "check_S"]
@@ -32,9 +33,9 @@ class TauPoint:
 
     def __post_init__(self):
         if not self.im > 0:
-            raise ValueError(f"tau must lie in the upper half-plane (im = {self.im})")
+            raise ConstraintError(f"tau must lie in the upper half-plane (im = {self.im})")
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"tau must be finite (got re = {self.re}, im = {self.im})")
+            raise ConstraintError(f"tau must be finite (got re = {self.re}, im = {self.im})")
 
     @property
     def z(self) -> complex:
@@ -90,7 +91,7 @@ def check_S(s: FracPowerSeries, weight: Fraction, tau: TauPoint,
     -1/tau keep |q| small and the truncation tails negligible.
     """
     if not (-0.5 < tau.re <= 0.5 and tau.im >= 0.8):
-        raise ValueError(
+        raise ConstraintError(
             "S-check requires tau in the standard-position region "
             f"Re in (-1/2, 1/2], Im >= 0.8 (got {tau.re} + {tau.im}i)")
     z = tau.z

@@ -5,16 +5,27 @@ exponent grid (1/D)Z together with a truncation bound T: the series is exact
 for every exponent strictly below T and says nothing about exponents >= T.
 Binary operations merge grids to the lcm and propagate the tightest sound
 truncation.  All coefficients are `fractions.Fraction`; nothing in this
-module touches floating point.  Products, inverses and `euler_product`
-compute on integer numerators (each operand scaled by the lcm of its
-coefficient denominators) and build one exact `Fraction` series at the end.
+module touches floating point.  Products, inverses, comparisons and
+`euler_product` compute on integer numerators (each operand scaled by the
+lcm of its coefficient denominators) and build one exact `Fraction` series,
+or the one mismatching triple, at the end.
+
+Products and powers share one kernel, `_packed_power(a, k, b) = a**k * b`,
+by Kronecker substitution: each operand becomes one big int with one slot of
+w bits per step of its exponent lattice, so that CPython's int product does
+the convolution.  The width comes from the rigorous bound
+|coeff| <= n_a^k max|a|^k max|b| plus a sign bit, so every slot holds its
+balanced digit exactly.  The cost is O(slots * w) to pack and unpack plus k
+int products of slots * w bits, whatever the number of terms.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import sub
+from struct import calcsize
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -157,30 +168,7 @@ class FracPowerSeries:
             return self.scale(other)
         if not isinstance(other, FracPowerSeries):
             return NotImplemented
-        d = lcm(self.denominator, other.denominator)
-        # Unknown contributions need one factor at or beyond its truncation,
-        # hence the product is exact strictly below both cross sums.
-        t = min(self.truncation + other._low_bound(),
-                other.truncation + self._low_bound())
-        sa, sb = d // self.denominator, d // other.denominator
-        # Convolve integer numerators: scale each operand by the lcm of its
-        # coefficient denominators, then divide the products by both once.
-        la, anums = self._numerators()
-        lb, bnums = other._numerators()
-        out: Dict[int, int] = {}
-        limit, td = t.numerator * d, t.denominator
-        bterms = [(k * sb, n) for k, n in sorted(bnums.items())]
-        for ka, na in anums.items():
-            ka *= sa
-            for kb, nb in bterms:
-                k = ka + kb
-                if k * td >= limit:
-                    break  # bterms sorted: later exponents only grow
-                out[k] = out.get(k, 0) + na * nb
-        scale = la * lb
-        if scale == 1:
-            return FracPowerSeries(d, t, out)
-        return FracPowerSeries(d, t, {k: Fraction(n, scale) for k, n in out.items()})
+        return _packed_power(self, 1, other)
 
     def _numerators(self) -> Tuple[int, Dict[int, int]]:
         """(L, {key: L * coeff}) with L the lcm of the coefficient denominators."""
@@ -208,10 +196,9 @@ class FracPowerSeries:
             raise ValueError("power expects a nonnegative integer exponent")
         if k == 0:
             return FracPowerSeries.one(self.truncation)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        if k == 1:
+            return self
+        return _packed_power(self, k - 1, self)
 
     def invert(self) -> "FracPowerSeries":
         """Multiplicative inverse q^{-e} * u^{-1} for self = q^e * u, u(0) != 0.
@@ -264,14 +251,21 @@ class FracPowerSeries:
         if order > self.truncation or order > other.truncation:
             raise ValueError(
                 f"order {order} exceeds a truncation ({self.truncation}, {other.truncation})")
-        exps = {Fraction(k, self.denominator) for k in self._coeffs}
-        exps |= {Fraction(k, other.denominator) for k in other._coeffs}
-        for e in sorted(exps):
-            if e >= order:
+        # Walk the keys on the lcm grid, comparing numerators at the two
+        # scales by cross-multiplication.
+        d = lcm(self.denominator, other.denominator)
+        la, anums = self._numerators()
+        lb, bnums = other._numerators()
+        sa, sb = d // self.denominator, d // other.denominator
+        a = {key * sa: n for key, n in anums.items()}
+        b = {key * sb: n for key, n in bnums.items()}
+        limit = order.numerator * d  # key/d >= order  <=>  key * order.den >= limit
+        for key in sorted(a.keys() | b.keys()):
+            if key * order.denominator >= limit:
                 break
-            a, b = self.coeff(e), other.coeff(e)
-            if a != b:
-                return e, a, b
+            x, y = a.get(key, 0), b.get(key, 0)
+            if x * lb != y * la:
+                return Fraction(key, d), Fraction(x, la), Fraction(y, lb)
         return None
 
     def eq_to_order(self, other: "FracPowerSeries", order: Rational) -> bool:
@@ -312,6 +306,92 @@ class FracPowerSeries:
         if len(self._coeffs) > 6:
             body += " + ..."
         return f"FracPowerSeries({body or '0'}; T={self.truncation}, D={self.denominator})"
+
+
+# -- the product kernel ------------------------------------------------------
+
+# memoryview.cast codes of unsigned 1-, 2-, 4- and 8-byte slots, chosen by the
+# platform's item sizes ('L' is 8 bytes on some platforms and 4 on others)
+_UNSIGNED = {calcsize(code): code for code in "BHILQ"}
+
+
+def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSeries:
+    """a**k * b for k >= 1, truncated as k products by `*` truncate it.
+
+    Kronecker substitution.  On the lcm grid d, an operand's key is its base
+    (lowest key) plus a multiple of the step, the gcd of every key's distance
+    from its operand's base; a result key is k base_a + base_b plus such a
+    multiple.  Slot i holds the coefficient at that base plus i steps, for
+    the slots below the truncation, and an operand becomes the one signed int
+    sum n_i 2^(w i) of its integer numerators, w bits a slot.  The integer
+    product of two such ints packs the product of the series, so the kernel
+    multiplies the packed b by the packed a k times, reducing each product
+    mod 2^(w slots) into the balanced range, and unpacks the slots once.
+
+    A result slot sums at most n_a^k products of k numerators of a and one of
+    b, where n_a counts a's slots, so |coeff| <= n_a^k max|a|^k max|b| =: B;
+    every partial product a^j b obeys the same bound.  With w >= bit_length(B)
+    + 1 (a sign bit), each slot holds its coefficient as a balanced digit in
+    [-2^(w-1), 2^(w-1)), the packed int lies within 2^(w slots - 1) of 0, and
+    adding 2^(w-1) to every slot turns the digits into unsigned ones.  The
+    width is rounded up to 1, 2, 4 or 8 bytes, which are read in one cast, or
+    to whole bytes above that.  Cost: O(slots * w) to pack and to unpack, and
+    k products of ints of slots * w bits.
+    """
+    d = lcm(a.denominator, b.denominator)
+    low_a = a._low_bound()
+    # An unknown contribution to x * y needs a factor at or beyond its
+    # truncation, so the product is exact below T_x + low_y and T_y + low_x.
+    # Hence a**j is exact below T_a + (j - 1) low_a, with lowest term j low_a.
+    t = min(a.truncation + (k - 1) * low_a + b._low_bound(), b.truncation + k * low_a)
+    if not a._coeffs or not b._coeffs:
+        return FracPowerSeries(d, t, {})
+    la, anums = a._numerators()
+    lb, bnums = b._numerators()
+    sa, sb = d // a.denominator, d // b.denominator
+    base_a, base_b = min(anums) * sa, min(bnums) * sb
+    step = gcd(*(key * sa - base_a for key in anums),
+               *(key * sb - base_b for key in bnums)) or 1
+    base = k * base_a + base_b
+    slots = ((t * d).__ceil__() - 1 - base) // step + 1  # base < t * d
+    reach = slots * step  # an operand's slot i reaches only result slots >= i
+    slotted_a = [((key * sa - base_a) // step, n) for key, n in anums.items()
+                 if key * sa - base_a < reach]
+    slotted_b = [((key * sb - base_b) // step, n) for key, n in bnums.items()
+                 if key * sb - base_b < reach]
+    bound = (len(slotted_a) * max(abs(n) for _, n in slotted_a)) ** k \
+        * max(abs(n) for _, n in slotted_b)
+    width = (bound.bit_length() + 8) // 8  # bytes, with the sign bit
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    bits = 8 * width * slots
+    factor, value = _pack(slotted_a, width, slots), _pack(slotted_b, width, slots)
+    for _ in range(k):
+        value = (value * factor) & ((1 << bits) - 1)
+        if value >> (bits - 1):
+            value -= 1 << bits
+    half = 1 << (8 * width - 1)
+    size = width * slots
+    value += int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    if width in _UNSIGNED:
+        view = memoryview(value.to_bytes(size, sys.byteorder)).cast(_UNSIGNED[width])
+        digits = view if sys.byteorder == "little" else view[::-1]
+    else:
+        raw = value.to_bytes(size, "little")
+        digits = [int.from_bytes(raw[o:o + width], "little") for o in range(0, size, width)]
+    out = {base + step * i: x - half for i, x in enumerate(digits) if x != half}
+    scale = la ** k * lb
+    if scale != 1:
+        out = {key: Fraction(n, scale) for key, n in out.items()}
+    return FracPowerSeries(d, t, out)
+
+
+def _pack(slotted: List[Tuple[int, int]], width: int, slots: int) -> int:
+    """sum n 2^(8 width i) over the (slot i, n) pairs, |n| < 2^(8 width)."""
+    pos, neg = bytearray(width * slots), bytearray(width * slots)
+    for i, n in slotted:
+        (pos if n > 0 else neg)[i * width:(i + 1) * width] = abs(n).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # -- named series -----------------------------------------------------------

@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
+from .errors import ConstraintError
+
 __all__ = [
     "Kind",
     "BasisElement",
@@ -188,13 +190,13 @@ def minimal_model_spectrum(p: int, pp: int) -> List[SpectrumEntry]:
     come back sorted by h descending.
     """
     if p < 1 or pp < 1:
-        raise ValueError("p and p' must be positive")
+        raise ConstraintError("p and p' must be positive")
     if not p < pp:
-        raise ValueError(f"admissibility requires p < p' (got p={p}, p'={pp})")
+        raise ConstraintError(f"admissibility requires p < p' (got p={p}, p'={pp})")
     if (pp - p) % 2 != 0:
-        raise ValueError(f"admissibility requires p' - p even (got p' - p = {pp - p})")
+        raise ConstraintError(f"admissibility requires p' - p even (got p' - p = {pp - p})")
     if gcd((pp - p) // 2, p) != 1:
-        raise ValueError(f"admissibility requires gcd((p'-p)/2, p) = 1 (got {gcd((pp - p) // 2, p)})")
+        raise ConstraintError(f"admissibility requires gcd((p'-p)/2, p) = 1 (got {gcd((pp - p) // 2, p)})")
     c = central_charge(p, pp)
     entries: List[SpectrumEntry] = []
     seen = set()

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from oddtrace import characters, cli, queer
+from oddtrace import characters, cli, modcheck, qseries, queer, superalgebras
 from oddtrace.cli import COMMANDS, CommandConfig, build_parser, main, run
+from oddtrace.errors import ConstraintError
 from oddtrace.qseries import FracPowerSeries
 
 F = Fraction
@@ -279,6 +280,74 @@ def test_library_fault_is_not_a_usage_error(monkeypatch, capsys):
                         lambda p, pp, r, s: real(p, pp, r, s) + 1)
     with pytest.raises(ArithmeticError):
         main(["bgg", "--order", "20"])
+
+
+def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # A ValueError from inside the library is a fault of the program: `main`
+    # lets it through, and the `oddtrace` command exits 3 with its traceback.
+    def broken(a, k, b):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(qseries, "_packed_power", broken)
+    with pytest.raises(ValueError, match="kernel fault"):
+        main(["eta3", "--order", "10"])
+    assert cli.console(["eta3", "--order", "10"]) == cli.INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: kernel fault" in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: characters.verify_jacobi(F(1, 16)),
+    lambda: characters.verify_bgg_equals_eta_cubed(0),
+    lambda: modcheck.TauPoint(0.1, -1.0),
+    lambda: modcheck.TauPoint(float("nan"), 1.0),
+    lambda: modcheck.check_S(qseries.eta(5), F(1, 2), modcheck.TauPoint(0.1, 0.5), 1),
+    lambda: superalgebras.minimal_model_spectrum(3, 4),
+])
+def test_input_checks_raise_constraint_errors(call):
+    with pytest.raises(ConstraintError):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi-verify", "--order", "1/16"],
+    ["bgg", "--order", "0"],
+    ["fermion-trace", "--level", "0"],
+    ["cancellation", "--level", "0"],
+    ["modcheck", "--tau", "0.1,0.5"],
+])
+def test_input_errors_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(cli.CAPS))
+def test_cost_cap_admits_the_cap_and_refuses_one_more(monkeypatch, capsys, name):
+    flag, cap = cli.CAPS[name]
+    monkeypatch.setitem(COMMANDS, name, lambda config: (0, {}))
+    assert main([name, f"--{flag}", str(cap)]) == 0
+    assert main([name, f"--{flag}", str(cap + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --{flag} {cap + 1} is above the cap of {cap} for {name}\n"
+
+
+def test_cost_caps_are_real_limits(capsys):
+    # The order cap runs for real (about 1 s); a rational order just past it
+    # is refused, as is the level after the cancellation cap.
+    assert main(["jacobi-verify", "--order", "8000"]) == 0
+    assert main(["bgg", "--order", "64001/8"]) == 2
+    assert main(["cancellation", "--level", "53"]) == 2
+    capsys.readouterr()
+
+
+def test_caps_are_in_the_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for name, (flag, cap) in cli.CAPS.items():
+        assert f"  {name:<15}--{flag} <= {cap}" in lines, name
+    assert "or a report that cannot be written, 3 a fault of the program" in lines
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

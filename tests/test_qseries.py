@@ -1,10 +1,13 @@
 import json
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddtrace import qseries
 from oddtrace.qseries import FracPowerSeries, eta, euler_product, jacobi_rhs
 
 F = Fraction
@@ -368,6 +371,107 @@ def test_no_stored_zeros_and_grid_closure(a, b):
         assert all(type(e) is Fraction for e, _ in s.terms())
         assert all((e * s.denominator).denominator == 1 for e, _ in s.terms())
         assert all(e < s.truncation for e, _ in s.terms())
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def packed_operand(draw):
+    """A series with 0 to 40 terms from a negative lowest key up, and integer
+    or rational coefficients up to about 2^80 whose denominators can have a
+    large lcm, so that every slot width of the kernel occurs."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 24]))
+    low = draw(st.integers(-3 * d, d))
+    t = F(draw(st.integers(low // d + 1, low // d + 8)))
+    big = 2 ** draw(st.sampled_from([2, 7, 15, 31, 63, 80]))
+    coeff = st.one_of(st.integers(-big, big),
+                      st.builds(F, st.integers(-big, big), st.integers(1, 10 ** 6)))
+    keys = st.integers(low, int(t) * d - 1)
+    return FracPowerSeries(d, t, draw(st.dictionaries(keys, coeff, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operand(), packed_operand())
+def test_packed_product_matches_naive_fraction_product(a, b):
+    t, expected = oracle_product(a, b)
+    prod = a * b
+    assert prod.truncation == t
+    assert prod.denominator == lcm(a.denominator, b.denominator)
+    assert dict(prod.terms()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_operand(), st.integers(2, 5))
+def test_power_equals_repeated_product(a, k):
+    repeated = a
+    for _ in range(k - 1):
+        repeated = repeated * a
+    power = a ** k
+    assert power.truncation == repeated.truncation
+    assert power.denominator == repeated.denominator
+    assert power == repeated
+
+
+def test_products_at_the_width_bound(monkeypatch):
+    # Each coefficient below equals the kernel's bound n_a^k max|a|^k max|b|,
+    # so a slot narrower than its bit length plus a sign bit misreads it; the
+    # lengths 1..140 reach slots of 1, 2, 4 and 8 bytes and wider ones.
+    widths = set()
+    pack = qseries._pack
+
+    def recording(slotted, width, slots):
+        widths.add(width)
+        return pack(slotted, width, slots)
+
+    monkeypatch.setattr(qseries, "_pack", recording)
+    for bits in range(1, 141):
+        for c in (2 ** bits - 1, -(2 ** bits - 1), -(2 ** bits)):
+            mono = FracPowerSeries(1, 10, {1: c})
+            pair = FracPowerSeries(2, 5, {-1: c, 1: c})
+            for a, b in ((mono, FracPowerSeries.monomial(2, 1, 10)), (pair, pair)):
+                t, expected = oracle_product(a, b)
+                assert dict((a * b).terms()) == expected
+            assert dict((mono ** 3).terms()) == {F(3): F(c) ** 3}
+            assert dict((pair ** 2).terms()) == {F(-1): F(c) ** 2, F(0): 2 * F(c) ** 2,
+                                                F(1): F(c) ** 2}
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+
+def test_wide_sparse_pair():
+    # Two 2-term series whose keys have gcd 1 span about 2 * 10^5 slots of one
+    # byte: the kernel's cost is set by the slots, not the terms.
+    a = FracPowerSeries(1, 300000, {0: 1, 100000: 1})
+    b = FracPowerSeries(1, 300000, {0: 1, 100001: -1})
+    start = time.perf_counter()
+    prod = a * b
+    elapsed = time.perf_counter() - start
+    assert dict(prod.terms()) == {F(0): 1, F(100000): 1, F(100001): -1, F(200001): -1}
+    assert prod.truncation == 300000
+    assert elapsed < 2.0
+
+
+def test_power_does_not_multiply_factor_by_factor(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("__pow__ went through __mul__")
+
+    e = eta(60)
+    expected = dict((e * e * e).terms())
+    monkeypatch.setattr(FracPowerSeries, "__mul__", refuse)
+    assert dict((e ** 3).terms()) == expected
+
+
+def test_first_mismatch_returns_fractions_at_each_scale():
+    a = FracPowerSeries(8, 3, {1: F(1, 6), 9: F(5, 4)})
+    b = FracPowerSeries(24, 3, {3: F(1, 6), 27: F(7, 4), 30: F(1, 9)})
+    assert a.first_mismatch(b, 3) == (F(9, 8), F(5, 4), F(7, 4))
+    assert a.first_mismatch(b, F(9, 8)) is None
+    assert b.first_mismatch(a, 2) == (F(9, 8), F(7, 4), F(5, 4))
+    assert a.first_mismatch(a - a + a, 3) is None
+    zero = FracPowerSeries.zero(3)
+    assert zero.first_mismatch(b, 3) == (F(1, 8), F(0), F(1, 6))
+    assert all(type(x) is Fraction for x in zero.first_mismatch(b, 3))
 
 
 # ---------------------------------------------------------------------------
