@@ -32,11 +32,9 @@ from .characters import (
     bgg_odd_trace,
     resolution_signs,
     resolve_signs,
-    verify_bgg_equals_eta_cubed,
-    verify_fermion_eta,
     verify_jacobi,
 )
-from .queer import EndElement, QueerElement, odd_trace, queer_mul, supertrace
+from .queer import Supermatrix, odd_trace, queer_mul, supertrace
 from .modcheck import ModularResidual, TauPoint, check_S, check_T, eval_series
 
 __version__ = "0.1.0"
@@ -49,8 +47,8 @@ __all__ = [
     "enumerate_ns_monomials", "fermion_odd_trace", "signed_monomial_count",
     "signed_monomial_counts",
     "VerificationReport", "bgg_odd_trace", "resolution_signs", "resolve_signs",
-    "verify_bgg_equals_eta_cubed", "verify_fermion_eta", "verify_jacobi",
-    "EndElement", "QueerElement", "odd_trace", "queer_mul", "supertrace",
+    "verify_jacobi",
+    "Supermatrix", "odd_trace", "queer_mul", "supertrace",
     "ModularResidual", "TauPoint", "check_S", "check_T", "eval_series",
     "__version__",
 ]

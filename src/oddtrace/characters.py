@@ -35,8 +35,6 @@ __all__ = [
     "resolution_signs",
     "resolve_signs",
     "verify_jacobi",
-    "verify_fermion_eta",
-    "verify_bgg_equals_eta_cubed",
 ]
 
 F = Fraction
@@ -164,11 +162,6 @@ def verify_jacobi(order: Fraction) -> VerificationReport:
     return compare_series("jacobi-eta-cubed", eta(n) ** 3, jacobi_rhs(n), order)
 
 
-def verify_fermion_eta(max_level: int) -> VerificationReport:
-    """Brute-force Fock-module trace against eta, levels 0..max_level."""
-    return _fermion_route(max_level)[1]
-
-
 def _fermion_route(max_level: int) -> Tuple[pbw.GradedTraceReport, VerificationReport]:
     """The brute-force trace and its check against eta, each computed once."""
     if max_level < 1:
@@ -177,12 +170,6 @@ def _fermion_route(max_level: int) -> Tuple[pbw.GradedTraceReport, VerificationR
     order = F(1, 24) + max_level + 1
     return trace, compare_series("fermion-odd-trace-eta", trace.series,
                                  eta(max_level + 1), order)
-
-
-def verify_bgg_equals_eta_cubed(order: Fraction) -> VerificationReport:
-    """Resolution route vs closed form: the two computations of the c = -21/4
-    odd trace must agree below `order`."""
-    return _bgg_route(order)[2]
 
 
 def _bgg_route(order: Fraction

@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import stat
 import sys
@@ -39,13 +38,12 @@ F = Fraction
 S_TOLERANCE = 1e-8
 T_TOLERANCE = 1e-10
 WITNESS_FLOOR = 1e-2
-QUEER_TRIALS = 1000
-QUEER_SEED = 94099
 INTERNAL_ERROR = 3
 
-# The largest --order or --level each command takes: each costs about 1 s
-# there (Python 3.11, shared 2-core host).  euler_product is O(order^2), and
-# the partition enumerations grow exponentially with the level.
+# The largest --order, --level or --pp each command takes: each costs about
+# 1 s there (Python 3.11, shared 2-core host).  euler_product is O(order^2),
+# the partition enumerations grow exponentially with the level, and spectrum
+# lists about p p'/2 weights, with p < p'.
 CAPS = {
     "eta": ("order", 8000),
     "eta3": ("order", 8000),
@@ -55,6 +53,7 @@ CAPS = {
     "modcheck": ("order", 8000),
     "fermion-trace": ("level", 75),
     "cancellation": ("level", 52),
+    "spectrum": ("pp", 300),
 }
 
 
@@ -232,32 +231,20 @@ def _cmd_modcheck(config):
 
 
 def _cmd_queer_check(config):
-    """randomized supersymmetry checks and the Q_1 uniqueness probe"""
-    rng = random.Random(QUEER_SEED)
-    susy_violations = 0
-    for _ in range(QUEER_TRIALS):
-        n = rng.randint(1, 4)
-        a = queer.random_homogeneous_queer(n, rng)
-        b = queer.random_homogeneous_queer(n, rng)
-        if not queer.supersymmetric(a, b):
-            susy_violations += 1
-    str_violations = 0
-    for _ in range(QUEER_TRIALS // 4):
-        x = queer.random_homogeneous_end(2, 2, rng)
-        y = queer.random_homogeneous_end(2, 2, rng)
-        if not queer.supersymmetric(x, y):
-            str_violations += 1
-    pairs = [(queer.random_homogeneous_queer(1, rng), queer.random_homogeneous_queer(1, rng))
-             for _ in range(50)]
-    basis = queer.q1_functional_solution_space(pairs)
-    probe_ok = len(basis) == 1 and basis[0] == (F(0), F(1))
-    ok = susy_violations == 0 and str_violations == 0 and probe_ok
+    """odd trace and supertrace supersymmetric and unique, on every basis pair"""
+    algebras = [(f"Q_{n}", queer.queer_basis(n), "odd trace", queer.odd_trace)
+                for n in range(1, 5)]
+    algebras.append(("End(2|2)", queer.end_basis(2, 2), "supertrace", queer.supertrace))
+    rows = []
+    for name, basis, functional, phi in algebras:
+        pairs, violations, dimension = queer.supersymmetry_check(basis, phi)
+        rows.append({"algebra": name, "functional": functional, "pairs": pairs,
+                     "violations": violations, "dimension": dimension})
+    ok = all(row["violations"] == 0 and row["dimension"] == 1 for row in rows)
     payload = {
-        "trials": QUEER_TRIALS,
-        "supersymmetry_violations": susy_violations,
-        "supertrace_violations": str_violations,
-        "probe_dimension": len(basis),
-        "probe_basis": [[_q(x) for x in v] for v in basis],
+        "algebras": rows,
+        "supersymmetry_violations": sum(row["violations"] for row in rows[:-1]),
+        "supertrace_violations": rows[-1]["violations"],
         "pass": ok,
     }
     return (0 if ok else 1), payload

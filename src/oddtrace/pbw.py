@@ -210,17 +210,6 @@ def _psi0_square(top: int) -> Fraction:
     return c1 * c2
 
 
-def psi0_theta_diagonal(m: PBWMonomial) -> Fraction:
-    """Diagonal entry of psi_0 Theta on the monomial vector.
-
-    Theta sends m w to m (psi_0 w); the outer psi_0 then anticommutes past
-    the t odd generators (all brackets [psi_0, psi_{-n}] vanish for n >= 1)
-    picking up (-1)^t, and acts on the top space again.  The two top-space
-    steps compose to psi_0^2 = 1/2, so the monomial is an eigenvector.
-    """
-    return (-1) ** m.fermionic_length * _psi0_square(m.top)
-
-
 @dataclass(frozen=True)
 class GradedTraceReport:
     """Per-level traces and their assembly sum_N trace(N) q^(prefactor + N)."""
@@ -233,11 +222,13 @@ class GradedTraceReport:
 def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     """Graded trace of psi_0 Theta q^{L_0 - c/24} over the Fock module.
 
-    psi_0 Theta acts on m w as (-1)^t m psi_0^2 w (see psi0_theta_diagonal),
-    so each level-N trace is the signed distinct-part partition count,
-    tallied in integers, times the trace of psi_0^2 on the top space (1/2
-    from each of v, vbar).  The assembled series matches the eta expansion
-    q^{1/24} prod (1 - q^n).
+    Theta sends m w to m (psi_0 w); the outer psi_0 then anticommutes past
+    the t odd generators of m (all brackets [psi_0, psi_{-n}] vanish for
+    n >= 1), picking up (-1)^t, and acts on the top space again.  So psi_0
+    Theta acts on m w as (-1)^t m psi_0^2 w, and each level-N trace is the
+    signed distinct-part partition count, tallied in integers, times the
+    trace of psi_0^2 on the top space (1/2 from each of v, vbar).  The
+    assembled series matches the eta expansion q^{1/24} prod (1 - q^n).
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")

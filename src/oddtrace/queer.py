@@ -1,42 +1,24 @@
-"""The queer superalgebra Q_n, endomorphism superalgebras, and their
-trace functionals, all over exact rationals.
+"""The queer superalgebra Q_n and the endomorphism superalgebras End(d0|d1),
+with their supersymmetric functionals, over exact rationals.
 
-Q_n is realized as block matrices (X Y; Y X); its distinguished functional
-is the odd trace (X, Y) -> tr Y, which is supersymmetric:
-phi(ab) = (-1)^{p(a)p(b)} phi(ba) on homogeneous elements.  End(N) for a
-superspace N of dimension d0|d1 carries the supertrace tr A - tr D, which
-vanishes on every odd element.  Rational scalars suffice: the identities
-are algebraic over any field of characteristic zero.
+Every element is a (d0|d1) supermatrix, kept as the dict of its nonzero
+entries {(i, j): value}, with int or Fraction values.  There is one parity
+rule: an entry is odd when exactly one of i, j is >= d0, and an element is
+homogeneous when its entries share one parity.  There is one product, the
+sparse matrix product queer_mul.
 
-Each element keeps the integer form of its blocks (the lcm L of the entry
-denominators, and the rows and columns of L times the block; None for a
-zero block).  A random sample gets its forms with its draws and is built
-without re-checking its shapes; any other element builds them once, on
-its first product, product trace or parity test.  Parity reads the forms:
-a block is zero when its form is None.  One kernel multiplies those forms
-for both Q_n and End(N) and builds one Fraction per entry.  A trace of a
-product needs only its diagonal, so a second kernel takes
-tr(a b) = sum_i row_i(a) . column_i(b) from the same forms, as an
-unreduced integer ratio: O(n^2) integer work, where the product costs n^3
-and 2n^2 Fractions.  product_odd_trace, product_traces and
-product_supertrace turn that ratio into one Fraction; supersymmetric
-compares the two sides of phi(ab) = (-1)^{p(a)p(b)} phi(ba) by
-cross-multiplying the ratios, and builds no Fraction.
+Q_n is the subalgebra of End(n|n) of the matrices (X Y; Y X).  Its odd trace
+tr Y, the trace of the top-right block, is supersymmetric,
+phi(ab) = (-1)^{p(a)p(b)} phi(ba) on homogeneous elements; so is the
+supertrace tr A - tr D of (A B; C D) in End(d0|d1).  Equivalently phi
+vanishes on every supercommutator [a, b] = ab - (-1)^{p(a)p(b)} ba.
 
-queer-check runs supersymmetric on both loops.  On Q_n, when a and b have
-the same parity, each term of tr(Xa Yb + Ya Xb) has a zero factor and
-both sides are 0: of the 1000 pairs at its seed 94099 only the 486
-mixed-parity ones carry content, and there the sign is +1.  The sign
-(-1)^{p(a)p(b)} is exercised only by the 62 odd.odd pairs of its 250
-End(2|2) pairs.  The Q_1 probe takes each constraint as two unreduced
-ratios from the same kernel, tests independence by cross-multiplying and
-builds Fractions only for the basis it returns.
-
-Random samples follow the rng.randint(-9, 9), rng.randint(1, 9) stream:
-each entry draws the pair with rng.getrandbits as CPython's randrange
-does, and looks up the value it names in a fixed table of 171 entries,
-and its numerator at the block's scale in a table keyed by the scale,
-whose rows are built on first use.
+That condition is bilinear, so checking it on every ordered pair of a
+homogeneous basis proves it for all elements: `supersymmetry_check` does so
+on the basis of matrix units, and returns the dimension of the functionals
+that vanish on all those supercommutators, from one fraction-free
+elimination.  Dimension 1 means phi is the only supersymmetric functional,
+up to a scalar.
 """
 
 from __future__ import annotations
@@ -44,451 +26,216 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
-from math import lcm
-from operator import mul
-from typing import List, Optional, Sequence, Tuple
-
-from .qseries import _clear_denominators
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 __all__ = [
-    "QueerElement",
-    "EndElement",
+    "Supermatrix",
     "queer_mul",
+    "supercommutator",
     "odd_trace",
     "even_trace",
-    "product_odd_trace",
-    "product_traces",
     "supertrace",
-    "end_mul",
-    "product_supertrace",
-    "supersymmetric",
+    "queer_basis",
+    "end_basis",
+    "supersymmetry_check",
+    "q1_functional_solution_space",
     "random_homogeneous_queer",
     "random_homogeneous_end",
-    "q1_functional_solution_space",
 ]
 
 F = Fraction
-Matrix = Tuple[Tuple[Fraction, ...], ...]
-
-
-def _mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-_ZERO = F(0)
-
-
-def _zeros(n: int, m: int) -> Matrix:
-    return ((_ZERO,) * m,) * n
-
-
-def _eye(n: int) -> Matrix:
-    return tuple(tuple(F(1) if i == j else _ZERO for j in range(n)) for i in range(n))
-
-
-IntRows = Tuple[Tuple[int, ...], ...]
-IntForm = Optional[Tuple[int, IntRows, IntRows]]
-
-
-def _form(scale: int, nums: Sequence[int], width: int) -> IntForm:
-    """The integer form of a block from its scale L and nums, the entries of
-    L times the block row by row, width to a row: None for a zero or empty
-    block, else (L, rows, columns)."""
-    if not any(nums):
-        return None
-    nums = tuple(nums)
-    return (scale, tuple([nums[i:i + width] for i in range(0, len(nums), width)]),
-            tuple([nums[j::width] for j in range(width)]))
-
-
-def _int_form(m: Matrix) -> IntForm:
-    """The integer form of the block m, with L the lcm of the entry
-    denominators."""
-    scale, nums = _clear_denominators([x for row in m for x in row])
-    return _form(scale, nums, len(m[0]) if m else 0)
-
-
-def _sum_of_products(rows: int, cols: int, *pairs: Tuple[IntForm, IntForm]) -> Matrix:
-    """Sum of the rows x cols matrix products a b over the (a, b) pairs of
-    integer forms, such as Xa Xb + Ya Yb.
-
-    Pairs with a zero factor are skipped.  A single remaining pair gives
-    each entry as Fraction(row . column, La Lb); several are accumulated
-    over the lcm of their scales.  Either way each entry becomes a single
-    Fraction.
-    """
-    terms = [(a[0] * b[0], a[1], b[2]) for a, b in pairs
-             if a is not None and b is not None]
-    if not terms:
-        return _zeros(rows, cols)
-    if len(terms) == 1:
-        den, arows, bcols = terms[0]
-        return tuple([tuple([Fraction(sum(map(mul, row, col)), den) for col in bcols])
-                      for row in arows])
-    den = lcm(*(s for s, _, _ in terms))
-    acc = [[0] * cols for _ in range(rows)]
-    for s, arows, bcols in terms:
-        f = den // s
-        for row, out in zip(arows, acc):
-            for j, col in enumerate(bcols):
-                out[j] += f * sum(map(mul, row, col))
-    return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
-
-
-def _trace_ratio(*terms: Tuple[int, IntForm, IntForm]) -> Tuple[int, int]:
-    """The sum of sign * tr(a b) over the (sign, a, b) terms of integer
-    forms, as an unreduced (numerator, denominator) with a positive
-    denominator, without forming the products.
-
-    tr(a b) = sum_i row_i(a) . column_i(b): the rows of a and the columns of
-    b, flattened in order, give one dot product over La Lb.  Terms with a
-    zero factor are skipped; the rest are added over the product of their
-    scales, so no gcd or lcm is taken.
-    """
-    num, den = 0, 1
-    for sign, a, b in terms:
-        if a is None or b is None:
-            continue
-        scale = a[0] * b[0]
-        dot = sum(map(mul, chain.from_iterable(a[1]), chain.from_iterable(b[2])))
-        num, den = num * scale + sign * dot * den, den * scale
-    return num, den
-
-
-def _fraction(num: int, den: int) -> Fraction:
-    """num/den, reduced; 0 without building a Fraction."""
-    return Fraction(num, den) if num else _ZERO
-
-
-def _mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), _ZERO)
+Entries = Dict[Tuple[int, int], Union[int, Fraction]]
 
 
 @dataclass(frozen=True)
-class QueerElement:
-    """Element (X Y; Y X) of Q_n; X is the even block, Y the odd one."""
-
-    n: int
-    x: Matrix
-    y: Matrix
-
-    def __post_init__(self):
-        for name, m in (("x", self.x), ("y", self.y)):
-            if list(map(len, m)) != [self.n] * self.n:
-                raise ValueError(f"{name} must be {self.n}x{self.n}")
-
-    @cached_property
-    def _forms(self) -> Tuple[IntForm, IntForm]:
-        return _int_form(self.x), _int_form(self.y)
-
-    @staticmethod
-    def from_lists(x, y) -> "QueerElement":
-        x, y = _mat(x), _mat(y)
-        return QueerElement(len(x), x, y)
-
-    @staticmethod
-    def identity(n: int) -> "QueerElement":
-        return QueerElement(n, _eye(n), _zeros(n, n))
-
-    @staticmethod
-    def theta(n: int) -> "QueerElement":
-        """The odd involution-like generator (X=0, Y=I); theta^2 = 1."""
-        return QueerElement(n, _zeros(n, n), _eye(n))
-
-    @property
-    def is_even(self) -> bool:
-        return self._forms[1] is None
-
-    @property
-    def is_odd(self) -> bool:
-        return self._forms[0] is None
-
-    @property
-    def parity(self) -> int:
-        if self.is_even:
-            return 0
-        if self.is_odd:
-            return 1
-        raise ValueError("element is not homogeneous")
-
-
-def queer_mul(a: QueerElement, b: QueerElement) -> QueerElement:
-    """Block product: (Xa Xb + Ya Yb, Xa Yb + Ya Xb)."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    n = a.n
-    (ax, ay), (bx, by) = a._forms, b._forms
-    x = _sum_of_products(n, n, (ax, bx), (ay, by))
-    y = _sum_of_products(n, n, (ax, by), (ay, bx))
-    return QueerElement(n, x, y)
-
-
-def odd_trace(a: QueerElement) -> Fraction:
-    """tr Y, the unique-up-to-scalar supersymmetric functional on Q_n."""
-    return _mat_trace(a.y)
-
-
-def even_trace(a: QueerElement) -> Fraction:
-    return _mat_trace(a.x)
-
-
-def _odd_trace_ratio(a: QueerElement, b: QueerElement) -> Tuple[int, int]:
-    """odd_trace(ab) as an unreduced ratio: tr(Xa Yb + Ya Xb)."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    (ax, ay), (bx, by) = a._forms, b._forms
-    return _trace_ratio((1, ax, by), (1, ay, bx))
-
-
-def product_odd_trace(a: QueerElement, b: QueerElement) -> Fraction:
-    """odd_trace(ab) without forming ab: tr(Xa Yb + Ya Xb)."""
-    return _fraction(*_odd_trace_ratio(a, b))
-
-
-def product_traces(a: QueerElement, b: QueerElement) -> Tuple[Fraction, Fraction]:
-    """(even_trace(ab), odd_trace(ab)) without forming ab:
-    (tr(Xa Xb + Ya Yb), product_odd_trace(a, b))."""
-    odd = product_odd_trace(a, b)
-    (ax, ay), (bx, by) = a._forms, b._forms
-    return _fraction(*_trace_ratio((1, ax, bx), (1, ay, by))), odd
-
-
-@dataclass(frozen=True)
-class EndElement:
-    """Element of End(N), N of dimension d0|d1, as blocks (A B; C D)."""
+class Supermatrix:
+    """A square matrix over the superspace of dimension d0|d1: indices below
+    d0 are even, the d1 others odd.  `entries` holds the nonzero entries."""
 
     d0: int
     d1: int
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    d: Matrix
-
-    def __post_init__(self):
-        shapes = {"a": (self.d0, self.d0), "b": (self.d0, self.d1),
-                  "c": (self.d1, self.d0), "d": (self.d1, self.d1)}
-        for name, (r, cdim) in shapes.items():
-            m = getattr(self, name)
-            if list(map(len, m)) != [cdim] * r:
-                raise ValueError(f"block {name} must be {r}x{cdim}")
-
-    @cached_property
-    def _forms(self) -> Tuple[IntForm, IntForm, IntForm, IntForm]:
-        return _int_form(self.a), _int_form(self.b), _int_form(self.c), _int_form(self.d)
+    entries: Entries
 
     @staticmethod
-    def from_lists(d0, d1, a, b, c, d) -> "EndElement":
-        return EndElement(d0, d1, _mat(a), _mat(b), _mat(c), _mat(d))
+    def from_blocks(d0: int, d1: int, a, b, c, d) -> "Supermatrix":
+        """(A B; C D), with A of size d0 x d0 and D of size d1 x d1."""
+        entries = {}
+        for name, m, top, left, rows, cols in (
+                ("a", a, 0, 0, d0, d0), ("b", b, 0, d0, d0, d1),
+                ("c", c, d0, 0, d1, d0), ("d", d, d0, d0, d1, d1)):
+            if list(map(len, m)) != [cols] * rows:
+                raise ValueError(f"block {name} must be {rows}x{cols}")
+            for i, row in enumerate(m):
+                for j, x in enumerate(row):
+                    if x:
+                        entries[top + i, left + j] = F(x)
+        return Supermatrix(d0, d1, entries)
 
     @staticmethod
-    def identity(d0: int, d1: int) -> "EndElement":
-        return EndElement(d0, d1, _eye(d0), _zeros(d0, d1), _zeros(d1, d0), _eye(d1))
+    def queer(x, y) -> "Supermatrix":
+        """(X Y; Y X) in Q_n, with X and Y of size n x n."""
+        return Supermatrix.from_blocks(len(x), len(x), x, y, y, x)
 
-    @property
-    def is_even(self) -> bool:
-        _, b, c, _ = self._forms
-        return b is None and c is None
+    @staticmethod
+    def identity(d0: int, d1: int) -> "Supermatrix":
+        return Supermatrix(d0, d1, {(i, i): F(1) for i in range(d0 + d1)})
 
-    @property
-    def is_odd(self) -> bool:
-        a, _, _, d = self._forms
-        return a is None and d is None
+    @staticmethod
+    def theta(n: int) -> "Supermatrix":
+        """(0 I; I 0) in Q_n: odd, with theta^2 = 1."""
+        return Supermatrix.queer([[0] * n for _ in range(n)],
+                                 [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def parity(self) -> int:
-        if self.is_even:
-            return 0
-        if self.is_odd:
-            return 1
-        raise ValueError("element is not homogeneous")
+        """0 or 1 when every entry has that parity (the zero element is even);
+        ValueError otherwise."""
+        d0 = self.d0
+        parities = {(i >= d0) != (j >= d0) for i, j in self.entries}
+        if len(parities) > 1:
+            raise ValueError("element is not homogeneous")
+        return int(True in parities)
 
 
-def end_mul(x: EndElement, y: EndElement) -> EndElement:
-    if (x.d0, x.d1) != (y.d0, y.d1):
-        raise ValueError("size mismatch")
-    d0, d1 = x.d0, x.d1
-    (xa, xb, xc, xd), (ya, yb, yc, yd) = x._forms, y._forms
-    return EndElement(
-        d0, d1,
-        _sum_of_products(d0, d0, (xa, ya), (xb, yc)),
-        _sum_of_products(d0, d1, (xa, yb), (xb, yd)),
-        _sum_of_products(d1, d0, (xc, ya), (xd, yc)),
-        _sum_of_products(d1, d1, (xc, yb), (xd, yd)),
-    )
+def _product(a: Supermatrix, b: Supermatrix) -> Entries:
+    """The entries of ab, summed over the nonzero entries of a and b; some
+    may be zero."""
+    if (a.d0, a.d1) != (b.d0, b.d1):
+        raise ValueError(f"size mismatch: ({a.d0}|{a.d1}) vs ({b.d0}|{b.d1})")
+    rows: Dict[int, list] = {}
+    for (k, j), v in b.entries.items():
+        rows.setdefault(k, []).append((j, v))
+    out: Entries = {}
+    for (i, k), u in a.entries.items():
+        for j, v in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + u * v
+    return out
 
 
-def supertrace(x: EndElement) -> Fraction:
-    """tr A - tr D; identically zero on odd elements."""
-    return _mat_trace(x.a) - _mat_trace(x.d)
+def _nonzero(entries: Entries) -> Entries:
+    return {key: x for key, x in entries.items() if x}
 
 
-def _supertrace_ratio(x: EndElement, y: EndElement) -> Tuple[int, int]:
-    """supertrace(end_mul(x, y)) as an unreduced ratio:
-    tr(Ax Ay + Bx Cy) - tr(Cx By + Dx Dy)."""
-    if (x.d0, x.d1) != (y.d0, y.d1):
-        raise ValueError("size mismatch")
-    (xa, xb, xc, xd), (ya, yb, yc, yd) = x._forms, y._forms
-    return _trace_ratio((1, xa, ya), (1, xb, yc), (-1, xc, yb), (-1, xd, yd))
+def queer_mul(a: Supermatrix, b: Supermatrix) -> Supermatrix:
+    """The matrix product ab, in Q_n or in any End(d0|d1)."""
+    return Supermatrix(a.d0, a.d1, _nonzero(_product(a, b)))
 
 
-def product_supertrace(x: EndElement, y: EndElement) -> Fraction:
-    """supertrace(end_mul(x, y)) without forming the product:
-    tr(Ax Ay + Bx Cy) - tr(Cx By + Dx Dy)."""
-    return _fraction(*_supertrace_ratio(x, y))
+def supercommutator(a: Supermatrix, b: Supermatrix) -> Supermatrix:
+    """[a, b] = ab - (-1)^{p(a)p(b)} ba, for homogeneous a and b."""
+    sign = -1 if a.parity & b.parity else 1
+    out = _product(a, b)
+    for key, v in _product(b, a).items():
+        out[key] = out.get(key, 0) - sign * v
+    return Supermatrix(a.d0, a.d1, _nonzero(out))
 
 
-def supersymmetric(a, b) -> bool:
-    """Whether phi(ab) = (-1)^{p(a)p(b)} phi(ba) for the homogeneous a and b,
-    both in Q_n or both in End(N), where phi is the odd trace on Q_n and
-    the supertrace on End(N).
-
-    Each side is an unreduced integer ratio from the cached forms, and the
-    two are compared by cross-multiplication, with the sign taken from the
-    parities; no Fraction is built.  A non-homogeneous element raises
-    ValueError, as its parity does.
-    """
-    if type(a) is not type(b):
-        raise TypeError("both elements must be in Q_n or both in End(N)")
-    ratio = _odd_trace_ratio if isinstance(a, QueerElement) else _supertrace_ratio
-    return _ratios_equal(ratio(a, b), ratio(b, a), -1 if a.parity & b.parity else 1)
+def odd_trace(a: Supermatrix) -> Fraction:
+    """tr Y, the trace of the top-right block: on Q_n the supersymmetric
+    functional, unique up to a scalar."""
+    return sum((v for (i, j), v in a.entries.items() if j == i + a.d0), F(0))
 
 
-def _ratios_equal(r: Tuple[int, int], s: Tuple[int, int], sign: int) -> bool:
-    """Whether r = sign * s, for unreduced ratios (num, den) with positive
-    denominators, by cross-multiplication."""
-    return r[0] * s[1] == sign * s[0] * r[1]
+def even_trace(a: Supermatrix) -> Fraction:
+    """tr X, the trace of the top-left block."""
+    return sum((v for (i, j), v in a.entries.items() if i == j < a.d0), F(0))
 
 
-# ---------------------------------------------------------------------------
-# randomized sampling and the Q_1 uniqueness probe
-# ---------------------------------------------------------------------------
+def supertrace(a: Supermatrix) -> Fraction:
+    """tr A - tr D; zero on odd elements."""
+    return sum((v if i < a.d0 else -v for (i, j), v in a.entries.items() if i == j), F(0))
 
 
-# Every value F(p - 9, q + 1) a sample can take, at the index 9 p + q of
-# its draws p = randint(-9, 9) + 9 and q = randint(1, 9) - 1, and beside it
-# the value's reduced numerator and denominator.
-_SAMPLES = [F(p - 9, q + 1) for p in range(19) for q in range(9)]
-_REDUCED = [(v.numerator, v.denominator) for v in _SAMPLES]
-_DENOMINATORS = [q for _, q in _REDUCED]
+def queer_basis(n: int) -> List[Supermatrix]:
+    """The homogeneous basis of Q_n: (e 0; 0 e), even, and (0 e; e 0), odd,
+    for each n x n matrix unit e."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    return ([Supermatrix(n, n, {(i, j): 1, (n + i, n + j): 1}) for i, j in units]
+            + [Supermatrix(n, n, {(i, n + j): 1, (n + i, j): 1}) for i, j in units])
 
 
-class _NumeratorRows(dict):
-    """The numerators of the values at each scale a block can have, the lcm
-    of some of the denominators 1..9: one of the 48 divisors of 2520.  At a
-    scale s the entry of a value is s times it, read only when its
-    denominator divides s.  Each scale's row is built on its first use."""
-
-    def __missing__(self, s: int) -> List[int]:
-        row = self[s] = [p * (s // q) for p, q in _REDUCED]
-        return row
+def end_basis(d0: int, d1: int) -> List[Supermatrix]:
+    """The matrix units of End(d0|d1), each homogeneous."""
+    d = d0 + d1
+    return [Supermatrix(d0, d1, {(i, j): 1}) for i in range(d) for j in range(d)]
 
 
-_NUMERATORS_AT = _NumeratorRows()
+def supersymmetry_check(basis: Sequence[Supermatrix],
+                        phi: Callable[[Supermatrix], Fraction]) -> Tuple[int, int, int]:
+    """(pairs, violations, dimension) on the algebra with this homogeneous
+    basis: the number of ordered basis pairs, the number of them with
+    phi([a, b]) != 0, and the dimension of the linear functionals that
+    vanish on every [a, b]."""
+    brackets = [supercommutator(a, b) for a in basis for b in basis]
+    violations = sum(1 for c in brackets if phi(c))
+    return len(brackets), violations, len(basis) - len(_echelon(c.entries for c in brackets))
 
 
-def _random_matrix(n: int, m: int, rng: random.Random) -> Tuple[Matrix, IntForm]:
-    """The n x m block with entries F(randint(-9, 9), randint(1, 9)), row
-    by row, looked up in _SAMPLES, and its integer form.
-
-    Each randint draws as CPython's randrange does (3.10 to 3.13): a draw
-    of as many bits as the width has, 5 for the 19 numerators and 4 for
-    the 9 denominators, repeated while it is out of range.  The form is the
-    one _int_form gives: its scale is the lcm of the reduced denominators,
-    and its entries are read from _NUMERATORS_AT at that scale."""
-    bits = rng.getrandbits
-    size = n * m
-    draws = []
-    for _ in range(size):
-        p = bits(5)
-        while p >= 19:
-            p = bits(5)
-        q = bits(4)
-        while q >= 9:
-            q = bits(4)
-        draws.append(9 * p + q)
-    if not size:
-        return _zeros(n, m), None
-    values = [_SAMPLES[d] for d in draws]
-    block = tuple([tuple(values[i:i + m]) for i in range(0, size, m)])
-    scale = lcm(*map(_DENOMINATORS.__getitem__, draws))
-    return block, _form(scale, list(map(_NUMERATORS_AT[scale].__getitem__, draws)), m)
-
-
-def _sampled(cls, **fields):
-    """An element of cls whose fields and _forms cache are set together,
-    without __init__ and its shape checks: the samplers build every block
-    at its shape.  _forms is no dataclass field, so == and hash are those of
-    the element the public constructor builds from the same fields."""
-    e = object.__new__(cls)
-    e.__dict__.update(fields)
-    return e
-
-
-def random_homogeneous_queer(n: int, rng: random.Random) -> QueerElement:
-    """Even or odd with probability 1/2 each (one rng.random() draw), its
-    nonzero block with entries p/q from randint(-9, 9), randint(1, 9).
-    The integer forms come with the draws.
-
-    The draws reproduce the randint stream of a random.Random, or of a
-    subclass that keeps its getrandbits; a subclass that overrides only
-    random() draws its randints from random() instead, and gets a
-    different stream here."""
-    zero = _zeros(n, n)
-    if rng.random() < 0.5:
-        x, fx = _random_matrix(n, n, rng)
-        return _sampled(QueerElement, n=n, x=x, y=zero, _forms=(fx, None))
-    y, fy = _random_matrix(n, n, rng)
-    return _sampled(QueerElement, n=n, x=zero, y=y, _forms=(None, fy))
-
-
-def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> EndElement:
-    """Even (A, D) or odd (B, C) with probability 1/2 each, with the
-    entries of random_homogeneous_queer, drawn block by block.  The integer
-    forms come with the draws.
-
-    The draws reproduce the randint stream of a random.Random, or of a
-    subclass that keeps its getrandbits; a subclass that overrides only
-    random() gets a different stream, as for random_homogeneous_queer."""
-    if rng.random() < 0.5:
-        (a, fa), (d, fd) = _random_matrix(d0, d0, rng), _random_matrix(d1, d1, rng)
-        return _sampled(EndElement, d0=d0, d1=d1, a=a, b=_zeros(d0, d1), c=_zeros(d1, d0),
-                        d=d, _forms=(fa, None, None, fd))
-    (b, fb), (c, fc) = _random_matrix(d0, d1, rng), _random_matrix(d1, d0, rng)
-    return _sampled(EndElement, d0=d0, d1=d1, a=_zeros(d0, d0), b=b, c=c,
-                    d=_zeros(d1, d1), _forms=(None, fb, fc, None))
+def _echelon(rows) -> dict:
+    """A row echelon form of the sparse rows {key: value}, by fraction-free
+    elimination, as {leading key: row}; its size is the rank."""
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            row = {k: x for k in row.keys() | pivot.keys()
+                   if (x := a * row.get(k, 0) - b * pivot.get(k, 0))}
+    return pivots
 
 
 def q1_functional_solution_space(
-        pairs: Sequence[Tuple[QueerElement, QueerElement]],
+        pairs: Sequence[Tuple[Supermatrix, Supermatrix]],
 ) -> List[Tuple[Fraction, Fraction]]:
-    """Basis of the (alpha, beta) with alpha*tr X + beta*tr Y supersymmetric
-    on all sampled homogeneous pairs.
+    """A basis of the (alpha, beta) for which alpha tr X + beta tr Y vanishes
+    on the supercommutator of each homogeneous pair, all in one Q_n.
 
-    With enough generic samples the space is 1-dimensional, spanned by the
-    odd trace (0, 1): that is the uniqueness statement for the supersymmetric
-    functional on Q_1, probed as exact linear algebra over the rationals.
+    On enough generic pairs in Q_1 the space is the line of the odd trace
+    (0, 1): the uniqueness of the supersymmetric functional.
     """
     rows = []
     for a, b in pairs:
-        if a.n != b.n:
-            raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-        # The constraint tr(ab) - (-1)^{p(a)p(b)} tr(ba) = 0 on each block,
-        # as unreduced ratios; the row is both times their denominators.
-        s = 1 if a.parity & b.parity else -1
-        (ax, ay), (bx, by) = a._forms, b._forms
-        even, even_den = _trace_ratio((1, ax, bx), (1, ay, by), (s, bx, ax), (s, by, ay))
-        odd, odd_den = _trace_ratio((1, ax, by), (1, ay, bx), (s, bx, ay), (s, by, ax))
-        rows.append((even * odd_den, odd * even_den))
-    # nullspace of an m x 2 system, exact
-    pivot = next((r for r in rows if r != (0, 0)), None)
-    if pivot is None:
+        c = supercommutator(a, b)
+        rows.append({k: x for k, x in enumerate((even_trace(c), odd_trace(c))) if x})
+    pivots = _echelon(rows)
+    if not pivots:
         return [(F(1), F(0)), (F(0), F(1))]
-    p, q = pivot
-    for r in rows:
-        if r[0] * q != r[1] * p:  # independent second constraint
-            return []
-    v = (-q, p)
-    scale = next(x for x in v if x != 0)
-    return [(F(v[0], scale), F(v[1], scale))]
+    if len(pivots) == 2:
+        return []
+    (row,) = pivots.values()
+    p, q = row.get(0, 0), row.get(1, 0)
+    scale = -q if q else p
+    return [(F(-q) / scale, F(p) / scale)]
+
+
+def _random_block(rows: int, cols: int, rng: random.Random) -> List[List[Fraction]]:
+    return [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _zero_block(rows: int, cols: int) -> List[List[int]]:
+    return [[0] * cols for _ in range(rows)]
+
+
+def random_homogeneous_queer(n: int, rng: random.Random) -> Supermatrix:
+    """Even (X, 0) or odd (0, Y) in Q_n with probability 1/2 each, on one
+    rng.random() draw; the nonzero block's entries are
+    randint(-9, 9)/randint(1, 9), row by row."""
+    zero = _zero_block(n, n)
+    if rng.random() < 0.5:
+        return Supermatrix.queer(_random_block(n, n, rng), zero)
+    return Supermatrix.queer(zero, _random_block(n, n, rng))
+
+
+def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> Supermatrix:
+    """Even (A, D) or odd (B, C) in End(d0|d1) with probability 1/2 each,
+    with the entries of random_homogeneous_queer, drawn block by block."""
+    if rng.random() < 0.5:
+        a, d = _random_block(d0, d0, rng), _random_block(d1, d1, rng)
+        return Supermatrix.from_blocks(d0, d1, a, _zero_block(d0, d1), _zero_block(d1, d0), d)
+    b, c = _random_block(d0, d1, rng), _random_block(d1, d0, rng)
+    return Supermatrix.from_blocks(d0, d1, _zero_block(d0, d0), b, c, _zero_block(d1, d1))

@@ -5,13 +5,13 @@ import pytest
 from oddtrace.characters import (
     SignResolutionError,
     _exact_sqrt,
+    _bgg_route,
+    _fermion_route,
     _resolution_terms,
     bgg_odd_trace,
     compare_series,
     resolution_signs,
     resolve_signs,
-    verify_bgg_equals_eta_cubed,
-    verify_fermion_eta,
     verify_jacobi,
 )
 from oddtrace.qseries import FracPowerSeries, eta
@@ -180,7 +180,7 @@ def test_resolution_route_reads_the_kac_weights(monkeypatch):
     monkeypatch.setattr(characters, "conformal_weight",
                         lambda p, pp, r, s: real(p, pp, r, s) + 1)
     with pytest.raises(ArithmeticError):
-        verify_bgg_equals_eta_cubed(EIGHTH + 20)
+        _bgg_route(EIGHTH + 20)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +212,20 @@ def test_compare_reports_injected_fault_at_lowest_exponent():
 
 
 # ---------------------------------------------------------------------------
-# verify_fermion_eta
+# _fermion_route: the trace and its check against eta
 # ---------------------------------------------------------------------------
 
 def test_verify_fermion_eta_30():
-    assert verify_fermion_eta(30).passed
+    assert _fermion_route(30)[1].passed
 
 
 def test_verify_fermion_eta_level_one():
-    assert verify_fermion_eta(1).passed
+    assert _fermion_route(1)[1].passed
 
 
 def test_verify_fermion_eta_validates():
     with pytest.raises(ValueError):
-        verify_fermion_eta(0)
+        _fermion_route(0)
 
 
 def test_fermion_fault_without_sign_fails_at_level_one():
@@ -243,16 +243,16 @@ def test_fermion_fault_without_sign_fails_at_level_one():
 
 
 # ---------------------------------------------------------------------------
-# verify_bgg_equals_eta_cubed
+# _bgg_route: the resolution-route series and its check against eta^3/4
 # ---------------------------------------------------------------------------
 
 def test_verify_bgg_to_100():
-    assert verify_bgg_equals_eta_cubed(100).passed
+    assert _bgg_route(100)[2].passed
 
 
 def test_verify_bgg_single_term_window():
     # Window covering only the k=0 exponent: compares 1/4 against 1/4.
-    report = verify_bgg_equals_eta_cubed(EIGHTH + 1)
+    report = _bgg_route(EIGHTH + 1)[2]
     assert report.passed
 
 
@@ -268,7 +268,7 @@ def test_bgg_route_does_not_read_its_target(monkeypatch):
         e = EIGHTH + 10
         return target - FracPowerSeries.monomial(e, 2 * target.coeff(e), target.truncation)
     monkeypatch.setattr(characters, "_eta_cubed_quarter", corrupted)
-    report = verify_bgg_equals_eta_cubed(EIGHTH + 20)
+    report = _bgg_route(EIGHTH + 20)[2]
     assert not report.passed
     assert report.first_discrepancy[0] == EIGHTH + 10
 

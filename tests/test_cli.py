@@ -170,35 +170,35 @@ def test_queer_check(capsys):
     code, out = _capture(capsys, ["queer-check"])
     assert code == 0
     data = json.loads(out)
+    assert [(row["algebra"], row["pairs"], row["violations"], row["dimension"])
+            for row in data["algebras"]] == [
+        ("Q_1", 4, 0, 1), ("Q_2", 64, 0, 1), ("Q_3", 324, 0, 1), ("Q_4", 1024, 0, 1),
+        ("End(2|2)", 256, 0, 1)]
     assert data["supersymmetry_violations"] == 0
     assert data["supertrace_violations"] == 0
-    assert data["probe_dimension"] == 1
-    assert data["probe_basis"] == [[[0, 1], [1, 1]]]
+    assert data["pass"] is True
 
 
 def test_queer_check_counts_violations(capsys, monkeypatch):
-    # Dropping the parity sign breaks only the 62 odd.odd End(2|2) pairs: on
-    # Q_n the pairs of equal parity have the odd trace 0 on both sides.
-    compare = queer._ratios_equal
-    monkeypatch.setattr(queer, "_ratios_equal", lambda r, s, sign: compare(r, s, 1))
+    # With the parity sign dropped every bracket is a plain commutator: the
+    # supertrace fails on pairs of odd matrix units of End(2|2), and on Q_n
+    # the commutators of odd elements are traceless in X, which leaves tr X
+    # as a second functional.
+    monkeypatch.setattr(queer.Supermatrix, "parity", property(lambda self: 0))
     code, out = _capture(capsys, ["queer-check"])
     data = json.loads(out)
     assert (code, data["pass"]) == (1, False)
-    assert data["supertrace_violations"] == 62 and data["supersymmetry_violations"] == 0
+    assert data["supertrace_violations"] > 0 and data["supersymmetry_violations"] == 0
+    assert [row["dimension"] for row in data["algebras"]] == [2, 2, 2, 2, 1]
     monkeypatch.undo()
-    # Adding 1 to the numerator of phi(ab) when a is odd breaks every Q_n
-    # pair with an odd factor.
-    ratio = queer._odd_trace_ratio
-
-    def shifted(a, b):
-        num, den = ratio(a, b)
-        return num + a.parity, den
-
-    monkeypatch.setattr(queer, "_odd_trace_ratio", shifted)
+    # An odd trace that also reads the (0, 0) entry fails on [theta, theta].
+    odd_trace = queer.odd_trace
+    monkeypatch.setattr(queer, "odd_trace", lambda c: odd_trace(c) + c.entries.get((0, 0), 0))
     code, out = _capture(capsys, ["queer-check"])
     data = json.loads(out)
     assert (code, data["pass"]) == (1, False)
     assert data["supersymmetry_violations"] > 0 and data["supertrace_violations"] == 0
+    assert [row["dimension"] for row in data["algebras"]] == [1] * 5
 
 
 def test_unknown_flag_exits_2():
@@ -227,7 +227,7 @@ def test_help_lists_every_command_with_its_description(capsys):
         ("spectrum", "N=1 minimal-model central charge and Ramond weights"),
         ("cancellation", "signed monomial counts (must vanish above level 0)"),
         ("modcheck", "numerical S/T transformation residuals for eta and eta^3"),
-        ("queer-check", "randomized supersymmetry checks and the Q_1 uniqueness probe"),
+        ("queer-check", "odd trace and supertrace supersymmetric and unique, on every basis pair"),
     ]:
         assert any(line.split() == [name, *description.split()] for line in lines), name
 
@@ -298,7 +298,7 @@ def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("call", [
     lambda: characters.verify_jacobi(F(1, 16)),
-    lambda: characters.verify_bgg_equals_eta_cubed(0),
+    lambda: characters._bgg_route(0),
     lambda: modcheck.TauPoint(0.1, -1.0),
     lambda: modcheck.TauPoint(float("nan"), 1.0),
     lambda: modcheck.check_S(qseries.eta(5), F(1, 2), modcheck.TauPoint(0.1, 0.5), 1),
@@ -334,10 +334,12 @@ def test_cost_cap_admits_the_cap_and_refuses_one_more(monkeypatch, capsys, name)
 
 def test_cost_caps_are_real_limits(capsys):
     # The order cap runs for real (about 1 s); a rational order just past it
-    # is refused, as is the level after the cancellation cap.
+    # is refused, as are the level after the cancellation cap and the first
+    # admissible pair past the spectrum cap.
     assert main(["jacobi-verify", "--order", "8000"]) == 0
     assert main(["bgg", "--order", "64001/8"]) == 2
     assert main(["cancellation", "--level", "53"]) == 2
+    assert main(["spectrum", "--p", "299", "--pp", "301"]) == 2
     capsys.readouterr()
 
 
@@ -472,21 +474,22 @@ def test_byte_determinism(capsys, argv):
 
 
 # SHA-256 of reports (JSON unless --format text) pinned before a rewrite of
-# the code behind them: the integer queer products and the streamed signed
-# counts (cancellation, queer-check, fermion-trace), the resolution signs
+# the code behind them: the streamed signed counts (cancellation,
+# fermion-trace), the resolution signs
 # derived from the homological degree (bgg, resolve-signs, jacobi-verify),
 # the resolution terms built from the (2, 8) Kac labels (bgg, resolve-signs),
 # the iterative partition generators with integer fermion tallies
-# (fermion-trace, cancellation), and the per-element integer blocks with
-# table-drawn samples (queer-check), and the report payloads built in `cli`
+# (fermion-trace, cancellation), and the report payloads built in `cli`
 # alone (spectrum, eta, eta3, jacobi-verify as text; a failing jacobi-verify
-# is pinned below).  The queer-check digests were pinned again when its
-# End(2|2) supertrace supersymmetry check went in.
+# is pinned below).  The two queer-check digests are the only ones pinned
+# again since: when its End(2|2) supertrace check went in, and when the
+# sampled check became the exhaustive check on every basis pair, whose
+# report lists each algebra's pairs, violations and dimension.
 @pytest.mark.parametrize("argv, digest", [
     (["cancellation", "--level", "25"],
      "e4531c0cb0ddd28bff04059a30bc723d0c9046f26b5fe70f1d9a03b2b142c849"),
     (["queer-check"],
-     "be1d7265869aa8e49ce90ed831e7992e6a015591c12346e9f02d7e8c168f4248"),
+     "56c162c06eab11a457be4fecddea5fa00ef2351148d72093e4b0ab4433ba1d29"),
     (["fermion-trace", "--level", "20"],
      "2d87845e3dd77c00c364902b444398d40cce322d0ec5dd6cf858d22162bf92fe"),
     (["bgg", "--order", "809/8"],
@@ -516,7 +519,7 @@ def test_byte_determinism(capsys, argv):
     (["cancellation", "--level", "23", "--format", "text"],
      "66930c778fb1884e9a01f7e7163ab2149dc9a194256d868f6c4c4423e7afd44f"),
     (["queer-check", "--format", "text"],
-     "81acd221883988549bf1f9e3331f24d9cee80d3e9f05960bb040a185263b4579"),
+     "d4fb7f49ad42f20419b0b2fecbff417685c557f4deb50bf58d7832c0c5a95130"),
     (["spectrum"],
      "f42edfceb634d5b509e1478c1cb434268b448b8d7056b8ecd1371825c6c7f0f3"),
     (["spectrum", "--format", "text"],

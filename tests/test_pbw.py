@@ -11,7 +11,6 @@ from oddtrace.pbw import (
     enumerate_fermion_monomials,
     enumerate_ns_monomials,
     fermion_odd_trace,
-    psi0_theta_diagonal,
     signed_monomial_count,
     signed_monomial_counts,
 )
@@ -221,13 +220,6 @@ def test_signed_count_matches_product_identity():
 # fermion odd trace
 # ---------------------------------------------------------------------------
 
-def test_psi0_theta_diagonal_values():
-    assert psi0_theta_diagonal(PBWMonomial((), (), 0)) == F(1, 2)
-    assert psi0_theta_diagonal(PBWMonomial((), (), 1)) == F(1, 2)
-    assert psi0_theta_diagonal(PBWMonomial((), (4,), 0)) == F(-1, 2)
-    assert psi0_theta_diagonal(PBWMonomial((), (1, 3), 1)) == F(1, 2)
-
-
 def test_fermion_trace_level_zero_and_prefactor():
     report = fermion_odd_trace(0)
     assert report.levels == ((0, F(1)),)
@@ -236,9 +228,12 @@ def test_fermion_trace_level_zero_and_prefactor():
 
 
 def test_fermion_trace_levels_equal_the_per_monomial_sums():
+    # psi_0 Theta is diagonal on the monomials, with entry (-1)^t psi_0^2 =
+    # (-1)^t / 2 on each of the two top-space vectors.
     report = fermion_odd_trace(16)
     for n, tr in report.levels:
-        assert tr == sum(psi0_theta_diagonal(m) for m in enumerate_fermion_monomials(n))
+        assert tr == sum(F((-1) ** m.fermionic_length, 2)
+                         for m in enumerate_fermion_monomials(n))
 
 
 def test_fermion_trace_levels_are_signed_distinct_counts():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oddtrace import qseries
@@ -293,12 +293,19 @@ def series(draw, unit=False):
     return FracPowerSeries(d, t, coeffs)
 
 
+# The product-kernel property tests report the first failing example as
+# drawn: shrinking its big-integer operands took 74-120 s when the kernel
+# was broken, against seconds to find the failure.  The explain phase needs
+# a shrunk example, so it goes too.
+NO_SHRINK = [p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+
+
 def _agree(a, b):
     order = min(a.truncation, b.truncation)
     return a.eq_to_order(b, order)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(series(), series())
 def test_add_mul_commute(a, b):
     assert (a + b) == (b + a)
@@ -314,7 +321,7 @@ def test_mul_matches_naive_fraction_product(a, b):
     assert dict(prod.terms()) == expected
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(series(), series(), series())
 def test_associativity_and_distributivity(a, b, c):
     assert _agree((a + b) + c, a + (b + c))
@@ -392,7 +399,7 @@ def packed_operand(draw):
     return FracPowerSeries(d, t, draw(st.dictionaries(keys, coeff, max_size=40)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(packed_operand(), packed_operand())
 def test_packed_product_matches_naive_fraction_product(a, b):
     t, expected = oracle_product(a, b)
