@@ -12,7 +12,6 @@ eta^3 = q^(1/8) sum_n (4n+1) q^(n(2n+1)).
 from .qseries import FracPowerSeries, eta, euler_product, jacobi_rhs
 from .superalgebras import (
     BasisElement,
-    BracketResult,
     SpectrumEntry,
     bracket,
     g0_square_value,
@@ -30,7 +29,6 @@ from .pbw import (
 from .characters import (
     VerificationReport,
     bgg_odd_trace,
-    resolution_signs,
     resolve_signs,
     verify_jacobi,
 )
@@ -41,13 +39,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FracPowerSeries", "eta", "euler_product", "jacobi_rhs",
-    "BasisElement", "BracketResult", "SpectrumEntry", "bracket",
+    "BasisElement", "SpectrumEntry", "bracket",
     "g0_square_value", "minimal_model_spectrum",
     "GradedTraceReport", "PBWMonomial", "enumerate_fermion_monomials",
     "enumerate_ns_monomials", "fermion_odd_trace", "signed_monomial_count",
     "signed_monomial_counts",
-    "VerificationReport", "bgg_odd_trace", "resolution_signs", "resolve_signs",
-    "verify_jacobi",
+    "VerificationReport", "bgg_odd_trace", "resolve_signs", "verify_jacobi",
     "Supermatrix", "odd_trace", "queer_mul", "supertrace",
     "ModularResidual", "TauPoint", "check_S", "check_T", "eval_series",
     "__version__",

@@ -7,10 +7,11 @@ Two independent routes to the same odd-trace character are compared here:
   in the resolution of the irreducible weight -3/32 module) against
   eta(tau)^3 / 4.
 
-Each module's exponent and magnitude come from its (2, 8) Ramond Kac label
-through the weights in `superalgebras`.  Its sign is its character sign
-(-1)^delta, with delta = ceil(d/2) the homological degree of the d-th module
-in exponent order (signs + - - + + - -), times the G_0 orientation sign(n).
+Each module's exponent and term come from its (2, 8) Ramond Kac label: the
+exponent through the weights in `superalgebras`, the term as one rational.
+The sign of the term is its character sign (-1)^delta, with delta = ceil(d/2)
+the homological degree of the d-th module in exponent order (signs
++ - - + + - -), times the G_0 orientation sign(n).
 `resolve_signs` is a diagnostic that instead reads each sign off the eta^3/4
 coefficient at its exponent (the exponents are distinct); it must agree.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "SignResolutionError",
     "compare_series",
     "bgg_odd_trace",
-    "resolution_signs",
     "resolve_signs",
     "verify_jacobi",
 ]
@@ -48,26 +48,29 @@ class SignResolutionError(ValueError):
 _KAC_LABELS = (2, 8, 1, 2)
 
 
-def _exact_sqrt(x: Fraction) -> Fraction:
-    """The rational square root of x >= 0; ArithmeticError if there is none."""
-    a, b = isqrt(x.numerator), isqrt(x.denominator)
-    if a * a != x.numerator or b * b != x.denominator:  # x is in lowest terms
-        raise ArithmeticError(f"{x} is not the square of a rational")
-    return Fraction(a, b)
+def _check_order(order: Fraction) -> Fraction:
+    """The order as a Fraction; ConstraintError below 1/8, the lowest
+    exponent of eta^3 and of the resolution."""
+    order = Fraction(order)
+    if order < F(1, 8):
+        raise ConstraintError("order must be at least 1/8")
+    return order
 
 
-def _resolution_terms(max_exponent: Fraction) -> List[tuple]:
-    """(k, exponent, magnitude, character sign, sign) of each resolution
-    module with exponent <= max_exponent, in exponent order.
+def _resolution_terms(max_exponent: Fraction) -> List[Tuple[int, Fraction, Fraction]]:
+    """(k, exponent, term) of each resolution module with exponent <=
+    max_exponent, in exponent order.
 
     Labels n = 2pp'j + rp' -+ sp (j in Z) carry character sign eps = +-1 and
     key k = 2j or -2j-1.  The exponent is G_0^2 = h - c/24 = n^2/(8pp') on
-    the top space; the magnitude sqrt(exponent/2) is the trace of G_0 Theta
-    there (the eigenvalue sqrt(exponent/8), twice); the sign is eps times the
-    G_0 orientation sign(n).
+    the top space.  The term is eps n n0/(4pp'), with n0 = rp' - sp: its
+    sign is eps times the G_0 orientation sign(n), and its magnitude
+    |n n0|/(4pp') is, for (2, 8), sqrt(exponent/2), the trace of G_0 Theta
+    on the top space (the eigenvalue sqrt(exponent/8), twice).
     """
     p, pp, r, s = _KAC_LABELS
     c = central_charge(p, pp)
+    n0 = r * pp - s * p
     # |n| <= sqrt(8pp' max_exponent) and |rp' -+ sp| < 2pp' bound |j|
     reach = isqrt(max(0, floor(8 * p * pp * Fraction(max_exponent)))) // (2 * p * pp) + 1
     terms = []
@@ -76,14 +79,8 @@ def _resolution_terms(max_exponent: Fraction) -> List[tuple]:
             exponent = g0_square_value(c, conformal_weight(p, pp, r + 2 * p * j, label))
             if exponent <= max_exponent:
                 n = 2 * p * pp * j + r * pp - label * p
-                terms.append((k, exponent, _exact_sqrt(exponent / 2), eps,
-                              eps if n > 0 else -eps))
+                terms.append((k, exponent, Fraction(eps * n * n0, 4 * p * pp)))
     return sorted(terms, key=lambda term: term[1])
-
-
-def resolution_signs(max_exponent: Fraction) -> Dict[int, int]:
-    """The sign of each resolution module with exponent <= max_exponent, by k."""
-    return {k: sign for k, _, _, _, sign in _resolution_terms(max_exponent)}
 
 
 def bgg_odd_trace(max_exponent: Fraction, signs: Mapping[int, int]) -> FracPowerSeries:
@@ -92,12 +89,13 @@ def bgg_odd_trace(max_exponent: Fraction, signs: Mapping[int, int]) -> FracPower
     return _sum_terms(_resolution_terms(max_exponent), max_exponent, signs)
 
 
-def _sum_terms(terms: List[tuple], max_exponent: Fraction,
+def _sum_terms(terms: List[Tuple[int, Fraction, Fraction]], max_exponent: Fraction,
                signs: Mapping[int, int]) -> FracPowerSeries:
-    """The terms below max_exponent, term k signed by signs[k]."""
+    """The magnitudes |term| below max_exponent, term k signed by signs[k],
+    on the 1/8 grid of the (2, 8) exponents."""
     max_exponent = Fraction(max_exponent)
-    series: Dict[Fraction, Fraction] = {}
-    for k, exponent, magnitude, _, _ in terms:
+    series: Dict[int, Fraction] = {}
+    for k, exponent, term in terms:
         if exponent >= max_exponent:
             continue
         if k not in signs:
@@ -105,13 +103,13 @@ def _sum_terms(terms: List[tuple], max_exponent: Fraction,
                              f"(exponent {exponent} below {max_exponent})")
         if signs[k] not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        series[exponent] = signs[k] * magnitude
-    return FracPowerSeries.from_terms(series, max_exponent, denominator=8)
+        series[int(8 * exponent)] = signs[k] * abs(term)
+    return FracPowerSeries(8, max_exponent, series)
 
 
 def _eta_cubed_quarter(order: Fraction) -> FracPowerSeries:
-    """eta^3 / 4 exact strictly below `order` (and at `order` itself)."""
-    n = max(1, ceil(Fraction(order) - F(1, 8)) + 1)
+    """eta^3 / 4 exact strictly below `order` >= 1/8 (and at `order` itself)."""
+    n = ceil(order - F(1, 8)) + 1
     return (eta(n) ** 3) * F(1, 4)
 
 
@@ -119,13 +117,14 @@ def resolve_signs(max_exponent: Fraction) -> Dict[int, int]:
     """The unique sign per module (exponent window inclusive) matching eta^3/4.
 
     Each module owns one exponent, so dividing the target coefficient by the
-    module's magnitude must give exactly +-1; anything else falsifies the
-    leading-trace computation and raises SignResolutionError.
+    module's magnitude |term| must give exactly +-1; anything else falsifies
+    the leading-trace computation and raises SignResolutionError.
     """
+    max_exponent = _check_order(max_exponent)
     target = _eta_cubed_quarter(max_exponent)
     signs: Dict[int, int] = {}
-    for k, exponent, magnitude, _, _ in _resolution_terms(max_exponent):
-        ratio = target.coeff(exponent) / magnitude
+    for k, exponent, term in _resolution_terms(max_exponent):
+        ratio = target.coeff(exponent) / abs(term)
         if ratio not in (1, -1):
             raise SignResolutionError(
                 f"no sign matches at k={k}: target/magnitude = {ratio}")
@@ -155,9 +154,7 @@ def compare_series(name: str, lhs: FracPowerSeries, rhs: FracPowerSeries,
 
 def verify_jacobi(order: Fraction) -> VerificationReport:
     """Coefficientwise check of eta^3 = q^(1/8) sum (4n+1) q^(n(2n+1)) below order."""
-    order = Fraction(order)
-    if order < F(1, 8):
-        raise ConstraintError("order must be at least 1/8")
+    order = _check_order(order)
     n = max(1, ceil(order - F(1, 8)))
     return compare_series("jacobi-eta-cubed", eta(n) ** 3, jacobi_rhs(n), order)
 
@@ -176,11 +173,9 @@ def _bgg_route(order: Fraction
                ) -> Tuple[Dict[int, int], FracPowerSeries, VerificationReport]:
     """Derived signs, the resolution-route series and its check against
     eta^3/4, which is built only for the comparison."""
-    order = Fraction(order)
-    if order < F(1, 8):
-        raise ConstraintError("order must be at least 1/8")
+    order = _check_order(order)
     terms = _resolution_terms(order)
-    signs = {k: sign for k, _, _, _, sign in terms}
+    signs = {k: 1 if term > 0 else -1 for k, _, term in terms}
     lhs = _sum_terms(terms, order, signs)
     return signs, lhs, compare_series("bgg-eta-cubed-quarter", lhs,
                                       _eta_cubed_quarter(order), order)

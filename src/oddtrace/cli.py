@@ -86,9 +86,9 @@ def _parse_tau(text: str) -> Tuple[float, float]:
         raise argparse.ArgumentTypeError(f"not a pair of reals: {text!r}")
 
 
-def _int_order(config: CommandConfig, minimum: int = 1) -> int:
-    if config.order.denominator != 1 or config.order < minimum:
-        raise ConstraintError(f"--order must be an integer >= {minimum} for this command "
+def _int_order(config: CommandConfig) -> int:
+    if config.order.denominator != 1 or config.order < 1:
+        raise ConstraintError(f"--order must be an integer >= 1 for this command "
                               f"(got {config.order})")
     return int(config.order)
 

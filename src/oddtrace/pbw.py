@@ -21,6 +21,7 @@ from math import isqrt
 from typing import Iterator, List, Tuple
 
 from .qseries import FracPowerSeries
+from .superalgebras import UNIT, bracket, psi
 
 __all__ = [
     "PBWMonomial",
@@ -197,19 +198,6 @@ def signed_monomial_count(level: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _psi0_action(top: int) -> Tuple[Fraction, int]:
-    """psi_0 on the top space: v -> vbar, vbar -> v/2."""
-    return (F(1), 1) if top == 0 else (F(1, 2), 0)
-
-
-def _psi0_square(top: int) -> Fraction:
-    """Diagonal entry of psi_0^2 = 1/2 on a top-space vector."""
-    c1, t1 = _psi0_action(top)
-    c2, t2 = _psi0_action(t1)
-    assert t2 == top
-    return c1 * c2
-
-
 @dataclass(frozen=True)
 class GradedTraceReport:
     """Per-level traces and their assembly sum_N trace(N) q^(prefactor + N)."""
@@ -227,17 +215,18 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     n >= 1), picking up (-1)^t, and acts on the top space again.  So psi_0
     Theta acts on m w as (-1)^t m psi_0^2 w, and each level-N trace is the
     signed distinct-part partition count, tallied in integers, times the
-    trace of psi_0^2 on the top space (1/2 from each of v, vbar).  The
-    assembled series matches the eta expansion q^{1/24} prod (1 - q^n).
+    trace of psi_0^2 on the top space: psi_0^2 = [psi_0, psi_0]/2, read off
+    the bracket, is a scalar on each of v and vbar.  The assembled series
+    matches the eta expansion q^{1/24} prod (1 - q^n).
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    top_trace = _psi0_square(0) + _psi0_square(1)
+    psi0_square = bracket(psi(0), psi(0))[UNIT] / 2
+    top_trace = 2 * psi0_square  # v and vbar
     levels = [(n, top_trace * count)
               for n, count in enumerate(_signed_distinct_counts(max_level))]
     series = FracPowerSeries.from_terms(
         {FERMION_PREFACTOR_EXPONENT + n: tr for n, tr in levels},
         truncation=FERMION_PREFACTOR_EXPONENT + max_level + 1,
-        denominator=24,
     )
     return GradedTraceReport(FERMION_PREFACTOR_EXPONENT, tuple(levels), series)

@@ -76,19 +76,12 @@ class FracPowerSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_terms(terms: Mapping[Rational, Rational], truncation: Rational,
-                   denominator: Optional[int] = None) -> "FracPowerSeries":
-        """Build a series from an exponent -> coefficient mapping.
-
-        The grid is the lcm of the exponent denominators unless a coarser
-        explicit `denominator` (a multiple of that lcm) is requested.
-        """
+    def from_terms(terms: Mapping[Rational, Rational],
+                   truncation: Rational) -> "FracPowerSeries":
+        """Build a series from an exponent -> coefficient mapping, on the grid
+        of the lcm of the exponent denominators (zero coefficients count)."""
         exps = {Fraction(e): Fraction(c) for e, c in terms.items()}
-        d = lcm(1, *(e.denominator for e in exps)) if exps else 1
-        if denominator is not None:
-            if denominator % d != 0:
-                raise ValueError(f"denominator {denominator} does not hold all exponents (need multiple of {d})")
-            d = denominator
+        d = lcm(1, *(e.denominator for e in exps))
         coeffs = {int(e * d): c for e, c in exps.items()}
         return FracPowerSeries(d, truncation, coeffs)
 
@@ -445,4 +438,4 @@ def jacobi_rhs(order: int) -> FracPowerSeries:
     reach = isqrt(int(order))
     terms = {Fraction(1, 8) + n * (2 * n + 1): 4 * n + 1
              for n in range(-reach, reach + 1) if n * (2 * n + 1) < order}
-    return FracPowerSeries.from_terms(terms, Fraction(1, 8) + order, denominator=8)
+    return FracPowerSeries.from_terms(terms, Fraction(1, 8) + order)

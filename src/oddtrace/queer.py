@@ -133,7 +133,7 @@ def supercommutator(a: Supermatrix, b: Supermatrix) -> Supermatrix:
 def odd_trace(a: Supermatrix) -> Fraction:
     """tr Y, the trace of the top-right block: on Q_n the supersymmetric
     functional, unique up to a scalar."""
-    return sum((v for (i, j), v in a.entries.items() if j == i + a.d0), F(0))
+    return sum((v for (i, j), v in a.entries.items() if i < a.d0 and j == i + a.d0), F(0))
 
 
 def even_trace(a: Supermatrix) -> Fraction:

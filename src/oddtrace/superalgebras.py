@@ -20,14 +20,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstraintError
 
 __all__ = [
     "Kind",
     "BasisElement",
-    "BracketResult",
     "SpectrumEntry",
     "L",
     "G",
@@ -94,34 +93,10 @@ C = BasisElement(Kind.CENTRAL)
 UNIT = BasisElement(Kind.UNIT)
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    """Linear combination of basis elements; at most two terms here."""
-
-    terms: Tuple[Tuple[Fraction, BasisElement], ...]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, element: BasisElement) -> Fraction:
-        for c, e in self.terms:
-            if e == element:
-                return c
-        return Fraction(0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{e}" for c, e in self.terms)
-
-
-def _result(*terms: Tuple[Fraction, BasisElement]) -> BracketResult:
-    return BracketResult(tuple((c, e) for c, e in terms if c != 0))
-
-
 def bracket(a: BasisElement, b: BasisElement,
-            c_value: Optional[Fraction] = None) -> BracketResult:
-    """Super-bracket [a, b], exact.
+            c_value: Optional[Fraction] = None) -> Dict[BasisElement, Fraction]:
+    """Super-bracket [a, b], exact, as {basis element: coefficient} with the
+    zero coefficients dropped.
 
     With `c_value` given, the central term is specialized: its coefficient is
     multiplied by c_value and reported on the UNIT element (the identity
@@ -131,32 +106,27 @@ def bracket(a: BasisElement, b: BasisElement,
         raise ValueError(f"cannot bracket {a} with {b}: different algebras")
     ka, kb = a.kind, b.kind
     if ka in _UNINDEXED or kb in _UNINDEXED:
-        return _result()
+        return {}
     m, n = a.index, b.index
+    delta = Fraction(1 if m == -n else 0)
 
-    def central(coef: Fraction) -> Tuple[Fraction, BasisElement]:
+    def central(coef: Fraction) -> Tuple[BasisElement, Fraction]:
         if c_value is None:
-            return coef, C
-        return coef * Fraction(c_value), UNIT
+            return C, coef * delta
+        return UNIT, coef * delta * Fraction(c_value)
 
-    if ka == Kind.PSI and kb == Kind.PSI:
-        return _result((Fraction(1 if m == -n else 0), UNIT))
-    if ka == Kind.L and kb == Kind.L:
-        terms = [(Fraction(m - n), L(m + n))]
-        if m == -n:
-            terms.append(central(Fraction(m ** 3 - m, 12)))
-        return _result(*terms)
-    if ka == Kind.G and kb == Kind.L:
-        return _result((Fraction(m) - Fraction(n, 2), G(m + n)))
-    if ka == Kind.L and kb == Kind.G:
+    if ka == Kind.PSI:
+        terms = [(UNIT, delta)]
+    elif ka == Kind.L and kb == Kind.L:
+        terms = [(L(m + n), Fraction(m - n)), central(Fraction(m ** 3 - m, 12))]
+    elif ka == Kind.G and kb == Kind.L:
+        terms = [(G(m + n), m - Fraction(n, 2))]
+    elif ka == Kind.L and kb == Kind.G:
         # antisupersymmetry with the even L: [L_m, G_n] = -[G_n, L_m]
-        return _result((Fraction(m, 2) - Fraction(n), G(m + n)))
-    if ka == Kind.G and kb == Kind.G:
-        terms = [(Fraction(2), L(m + n))]
-        if m == -n:
-            terms.append(central(Fraction(m ** 2, 1) * Fraction(1, 3) - Fraction(1, 12)))
-        return _result(*terms)
-    raise AssertionError(f"unhandled kinds {ka}, {kb}")
+        terms = [(G(m + n), Fraction(m, 2) - n)]
+    else:  # G, G
+        terms = [(L(m + n), Fraction(2)), central(Fraction(m * m, 3) - Fraction(1, 12))]
+    return {e: x for e, x in terms if x}
 
 
 # ---------------------------------------------------------------------------

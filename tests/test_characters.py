@@ -4,16 +4,15 @@ import pytest
 
 from oddtrace.characters import (
     SignResolutionError,
-    _exact_sqrt,
     _bgg_route,
     _fermion_route,
     _resolution_terms,
     bgg_odd_trace,
     compare_series,
-    resolution_signs,
     resolve_signs,
     verify_jacobi,
 )
+from oddtrace.errors import ConstraintError
 from oddtrace.qseries import FracPowerSeries, eta
 from oddtrace.superalgebras import central_charge, conformal_weight
 
@@ -77,7 +76,8 @@ def test_bgg_support_matches_eta_cubed_to_200():
 # ---------------------------------------------------------------------------
 
 def test_resolve_signs_smallest_windows():
-    assert resolve_signs(F(1, 16)) == {}
+    with pytest.raises(ConstraintError, match="at least 1/8"):
+        resolve_signs(F(1, 16))
     assert resolve_signs(EIGHTH) == {0: 1}
     assert resolve_signs(EIGHTH + 1) == {0: 1, -1: -1}
 
@@ -97,23 +97,24 @@ def test_resolve_signs_window_stable():
 
 
 def test_resolve_signs_detects_impossible_target(monkeypatch):
-    # Corrupt the resolution magnitudes; resolution must refuse to fit them.
+    # Corrupt the resolution terms; resolution must refuse to fit them.
     from oddtrace import characters
 
     real = characters._resolution_terms
 
     def corrupted(max_exponent):
-        return [(k, e, m * 7, eps, sign) for k, e, m, eps, sign in real(max_exponent)]
+        return [(k, e, t * 7) for k, e, t in real(max_exponent)]
     monkeypatch.setattr(characters, "_resolution_terms", corrupted)
     with pytest.raises(SignResolutionError):
         resolve_signs(EIGHTH + 1)
 
 
 def test_resolve_signs_agree_with_resolution_signs():
-    # The last window holds 32 terms, k = -16..15.
-    for order in (F(1, 16), EIGHTH, EIGHTH + 1, F(809, 8), EIGHTH + 500):
-        assert resolve_signs(order) == resolution_signs(order)
-    assert len(resolution_signs(EIGHTH + 500)) == 32
+    # The signs read off eta^3/4 are the signs of the terms that the
+    # resolution route derives.  The last window holds 32 terms, k = -16..15.
+    for order in (EIGHTH, EIGHTH + 1, F(809, 8), EIGHTH + 500):
+        assert resolve_signs(order) == _bgg_route(order)[0]
+    assert len(resolve_signs(EIGHTH + 500)) == 32
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +139,7 @@ def _times_verma(signs_by_level, order):
 
 
 def test_resolution_terms_k0():
-    k, exponent, magnitude, eps, sign = _resolution_terms(EIGHTH)[0]
-    assert (k, exponent, magnitude, eps, sign) == (0, EIGHTH, F(1, 4), 1, 1)
+    assert _resolution_terms(EIGHTH) == [(0, EIGHTH, F(1, 4))]
 
 
 def test_resolution_exponents_are_g0_squares_of_kac_weights():
@@ -147,24 +147,21 @@ def test_resolution_exponents_are_g0_squares_of_kac_weights():
     c = central_charge(2, 8)
     terms = _resolution_terms(F(2809, 8))
     assert len(terms) == 27
-    for k, exponent, magnitude, eps, _ in terms:
+    for k, exponent, term in terms:
         j, s = (k // 2, 2) if k % 2 == 0 else ((-k - 1) // 2, -2)
-        assert eps == (1 if s > 0 else -1)
         assert exponent == conformal_weight(2, 8, 1 + 4 * j, s) - c / 24
-        assert magnitude ** 2 == exponent / 2
-
-
-def test_exact_sqrt_raises_off_squares():
-    assert _exact_sqrt(F(9, 64)) == F(3, 8)
-    with pytest.raises(ArithmeticError):
-        _exact_sqrt(EIGHTH)
+        # pinned to the G_0 eigenvalue: term^2 = exponent/2
+        assert term ** 2 == exponent / 2
+        assert term == F(4 * k + 1, 4)
 
 
 def test_character_signs_give_the_irreducible_dimensions():
     # sum eps q^level times the Verma character is the irreducible character:
     # the Gram ranks at levels 0..8, and nonnegative everywhere.
     order = 41
-    eps = {int(e - EIGHTH): eps for _, e, _, eps, _ in _resolution_terms(EIGHTH + order - 1)}
+    # key k = 2j carries character sign +1, key k = -2j-1 carries -1
+    eps = {int(e - EIGHTH): 1 if k % 2 == 0 else -1
+           for k, e, _ in _resolution_terms(EIGHTH + order - 1)}
     dims = _times_verma(eps, order)
     assert dims[:9] == [2, 2, 4, 6, 8, 12, 18, 24, 32]
     assert min(dims) >= 0
@@ -179,8 +176,10 @@ def test_resolution_route_reads_the_kac_weights(monkeypatch):
     real = characters.conformal_weight
     monkeypatch.setattr(characters, "conformal_weight",
                         lambda p, pp, r, s: real(p, pp, r, s) + 1)
-    with pytest.raises(ArithmeticError):
-        _bgg_route(EIGHTH + 20)
+    # Every exponent moves up by 1, so nothing sits at eta^3/4's 1/8.
+    report = _bgg_route(EIGHTH + 20)[2]
+    assert not report.passed
+    assert report.first_discrepancy == (EIGHTH, 0, F(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def test_fermion_fault_without_sign_fails_at_level_one():
     terms = {}
     for n in range(6):
         terms[F(1, 24) + n] = F(len(enumerate_fermion_monomials(n)), 2)
-    unsigned = FracPowerSeries.from_terms(terms, F(1, 24) + 6, denominator=24)
+    unsigned = FracPowerSeries.from_terms(terms, F(1, 24) + 6)
     report = compare_series("unsigned-fault", unsigned, eta(6), F(1, 24) + 6)
     assert not report.passed
     assert report.first_discrepancy[0] == F(1, 24) + 1

@@ -236,6 +236,18 @@ def test_fermion_trace_levels_equal_the_per_monomial_sums():
                          for m in enumerate_fermion_monomials(n))
 
 
+def test_fermion_trace_reads_psi0_square_off_the_bracket(monkeypatch):
+    # With [psi_0, psi_0] doubled, psi_0^2 doubles on v and vbar, and so
+    # does every level.
+    from oddtrace import pbw
+    from oddtrace.superalgebras import UNIT
+
+    monkeypatch.setattr(pbw, "bracket", lambda a, b: {UNIT: F(2)})
+    report = fermion_odd_trace(5)
+    assert report.levels == tuple((n, 2 * SIGNED.get(n, 0)) for n in range(6))
+    assert report.series.coeff(F(1, 24)) == 2
+
+
 def test_fermion_trace_levels_are_signed_distinct_counts():
     report = fermion_odd_trace(30)
     for n, tr in report.levels:

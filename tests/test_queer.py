@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from oddtrace import queer
@@ -52,8 +52,7 @@ def full_parity(m, d0):
 
 def full_traces(m, d0):
     """(tr of the top-left block, tr of the top-right block, supertrace),
-    for a dense matrix with d0 even rows and as many odd ones as
-    odd_trace needs."""
+    for a dense matrix with d0 even rows."""
     d = len(m)
     return (sum((m[i][i] for i in range(d0)), F(0)),
             sum((m[i][d0 + i] for i in range(min(d0, d - d0))), F(0)),
@@ -189,44 +188,21 @@ def test_end_mul_matches_fraction_reference(case):
     assert all(v and type(v) is Fraction for v in got.entries.values())
 
 
-# The traces of a product against those of the dense product.
+# The three traces against those of the dense matrix, on drawn elements of
+# Q_n and of End(d0|d1), d1 > d0 included.  In the example the top-right
+# block is zero, though entry (1, 2) lies on the diagonal j = i + d0.
+ELEMENTS = st.one_of(
+    queer_blocks(1).map(lambda case: Supermatrix.queer(*case[1][0])),
+    end_blocks(1).map(lambda case: Supermatrix.from_blocks(*case[0], *case[1][0])))
+
+
 @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
-@given(queer_blocks(2))
-def test_product_traces_are_the_traces_of_queer_mul(case):
-    n, ((xa, ya), (xb, yb)) = case
-    ab = queer_mul(Supermatrix.queer(xa, ya), Supermatrix.queer(xb, yb))
-    even, odd, _ = full_traces(full_mul(queer_full(xa, ya), queer_full(xb, yb)), n)
-    got = (even_trace(ab), odd_trace(ab))
-    assert got == (even, odd)
+@given(ELEMENTS)
+@example(Supermatrix(1, 3, {(1, 2): F(1), (2, 3): F(1)}))
+def test_traces_are_the_traces_of_the_dense_matrix(e):
+    got = (even_trace(e), odd_trace(e), supertrace(e))
+    assert got == full_traces(to_full(e), e.d0)
     assert all(type(t) is Fraction for t in got)
-
-
-@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
-@given(queer_blocks(2))
-def test_product_odd_trace_is_the_odd_trace_of_queer_mul(case):
-    _, ((xa, ya), (xb, yb)) = case
-    ab = queer_mul(Supermatrix.queer(xa, ya), Supermatrix.queer(xb, yb))
-    # tr of the top-right block of (Xa Ya; Ya Xa)(Xb Yb; Yb Xb): tr(Xa Yb + Ya Xb)
-    n = len(xa)
-    assert odd_trace(ab) == sum(xa[i][k] * yb[k][i] + ya[i][k] * xb[k][i]
-                                for i in range(n) for k in range(n))
-
-
-@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
-@given(end_blocks(2))
-def test_product_supertrace_is_the_supertrace_of_end_mul(case):
-    (d0, d1), (x, y) = case
-    got = supertrace(queer_mul(Supermatrix.from_blocks(d0, d1, *x),
-                               Supermatrix.from_blocks(d0, d1, *y)))
-    assert got == full_traces(full_mul(end_full(*x), end_full(*y)), d0)[2]
-    assert type(got) is Fraction
-
-
-def test_product_traces_size_mismatch():
-    with pytest.raises(ValueError):
-        odd_trace(queer_mul(Supermatrix.identity(2, 2), Supermatrix.identity(3, 3)))
-    with pytest.raises(ValueError):
-        supertrace(queer_mul(Supermatrix.identity(2, 1), Supermatrix.identity(1, 2)))
 
 
 # ---------------------------------------------------------------------------
