@@ -188,6 +188,46 @@ def test_end_mul_matches_fraction_reference(case):
     assert all(v and type(v) is Fraction for v in got.entries.values())
 
 
+# The traces of a product against those of the dense product.
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(2))
+def test_product_traces_are_the_traces_of_queer_mul(case):
+    n, ((xa, ya), (xb, yb)) = case
+    ab = queer_mul(Supermatrix.queer(xa, ya), Supermatrix.queer(xb, yb))
+    even, odd, _ = full_traces(full_mul(queer_full(xa, ya), queer_full(xb, yb)), n)
+    got = (even_trace(ab), odd_trace(ab))
+    assert got == (even, odd)
+    assert all(type(t) is Fraction for t in got)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(queer_blocks(2))
+def test_product_odd_trace_is_the_odd_trace_of_queer_mul(case):
+    _, ((xa, ya), (xb, yb)) = case
+    ab = queer_mul(Supermatrix.queer(xa, ya), Supermatrix.queer(xb, yb))
+    # tr of the top-right block of (Xa Ya; Ya Xa)(Xb Yb; Yb Xb): tr(Xa Yb + Ya Xb)
+    n = len(xa)
+    assert odd_trace(ab) == sum(xa[i][k] * yb[k][i] + ya[i][k] * xb[k][i]
+                                for i in range(n) for k in range(n))
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(end_blocks(2))
+def test_product_supertrace_is_the_supertrace_of_end_mul(case):
+    (d0, d1), (x, y) = case
+    got = supertrace(queer_mul(Supermatrix.from_blocks(d0, d1, *x),
+                               Supermatrix.from_blocks(d0, d1, *y)))
+    assert got == full_traces(full_mul(end_full(*x), end_full(*y)), d0)[2]
+    assert type(got) is Fraction
+
+
+def test_product_traces_size_mismatch():
+    with pytest.raises(ValueError):
+        odd_trace(queer_mul(Supermatrix.identity(2, 2), Supermatrix.identity(3, 3)))
+    with pytest.raises(ValueError):
+        supertrace(queer_mul(Supermatrix.identity(2, 1), Supermatrix.identity(1, 2)))
+
+
 # The three traces against those of the dense matrix, on drawn elements of
 # Q_n and of End(d0|d1), d1 > d0 included.  In the example the top-right
 # block is zero, though entry (1, 2) lies on the diagonal j = i + d0.
