@@ -4,11 +4,12 @@ A :class:`FracPowerSeries` stores finitely many nonzero coefficients on the
 exponent grid (1/D)Z together with a truncation bound T: the series is exact
 for every exponent strictly below T and says nothing about exponents >= T.
 Binary operations merge grids to the lcm and propagate the tightest sound
-truncation.  All coefficients are `fractions.Fraction`; nothing in this
-module touches floating point.  Products, inverses, comparisons and
-`euler_product` compute on integer numerators (each operand scaled by the
-lcm of its coefficient denominators) and build one exact `Fraction` series,
-or the one mismatching triple, at the end.
+truncation.  A series stores its coefficients as integer numerators over
+one positive integer scale, in lowest terms, and every operation computes
+on those integers; nothing in this module touches floating point.
+`Fraction`s appear only at the public boundary: the constructor normalizes
+an int or `Fraction` mapping once, and `terms`, `coeff`, `first_mismatch`
+and `to_json_dict` build reduced fractions when asked.
 
 Products and powers share one kernel, `_packed_power(a, k, b) = a**k * b`,
 by Kronecker substitution: each operand becomes one big int with one slot of
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import sub
 from struct import calcsize
@@ -38,40 +40,27 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-def _clear_denominators(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
-    """(L, [L * v for v in values]) as ints, with L the lcm of the denominators."""
-    values = list(values)
-    scale = lcm(1, *(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 class FracPowerSeries:
     """Truncated series sum_e c_e q^e with c_e rational, e on the 1/D grid.
 
-    Invariants: no stored coefficient is zero, and every stored exponent is
-    strictly below the truncation.  Negative exponents are allowed (inverses
-    of monomials are Laurent-like).
+    The coefficient at exponent k/D is `_nums[k] / _scale`: one positive
+    integer scale and a dict of integer numerators.  Invariants: no stored
+    numerator is zero, every stored exponent is strictly below the
+    truncation, and gcd(_scale, *_nums.values()) == 1, so each series has
+    one stored form on a given grid.  Negative exponents are allowed
+    (inverses of monomials are Laurent-like).
     """
 
-    __slots__ = ("denominator", "truncation", "_coeffs")
+    __slots__ = ("denominator", "truncation", "_scale", "_nums")
 
     def __init__(self, denominator: int, truncation: Rational,
-                 coeffs: Mapping[int, Fraction]):
-        if denominator <= 0:
-            raise ValueError("grid denominator must be positive")
-        truncation = Fraction(truncation)
-        limit = truncation.numerator * denominator  # k/D >= T  <=>  k * T.den >= limit
-        clean: Dict[int, Fraction] = {}
+                 coeffs: Mapping[int, Rational]):
+        rows = []
         for k, c in coeffs.items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            if k * truncation.denominator >= limit:
-                continue
-            clean[int(k)] = c
-        self.denominator = denominator
-        self.truncation = truncation
-        self._coeffs = clean
+            rows.append((k, c.numerator, c.denominator))
+        (self.denominator, self.truncation,
+         self._scale, self._nums) = _normal_form(denominator, truncation, rows)
 
     # -- constructors ------------------------------------------------------
 
@@ -91,7 +80,7 @@ class FracPowerSeries:
 
     @staticmethod
     def one(truncation: Rational) -> "FracPowerSeries":
-        return FracPowerSeries(1, truncation, {0: Fraction(1)})
+        return FracPowerSeries(1, truncation, {0: 1})
 
     @staticmethod
     def monomial(exponent: Rational, coefficient: Rational,
@@ -102,17 +91,17 @@ class FracPowerSeries:
 
     def terms(self) -> Iterator[Tuple[Fraction, Fraction]]:
         """Stored (exponent, coefficient) terms sorted by exponent."""
-        for k in sorted(self._coeffs):
-            yield Fraction(k, self.denominator), self._coeffs[k]
+        for k in sorted(self._nums):
+            yield Fraction(k, self.denominator), Fraction(self._nums[k], self._scale)
 
     def support(self) -> List[Fraction]:
-        return [Fraction(k, self.denominator) for k in sorted(self._coeffs)]
+        return [Fraction(k, self.denominator) for k in sorted(self._nums)]
 
     def lowest(self) -> Optional[Fraction]:
         """Lowest stored exponent, or None for the zero series."""
-        if not self._coeffs:
+        if not self._nums:
             return None
-        return Fraction(min(self._coeffs), self.denominator)
+        return Fraction(min(self._nums), self.denominator)
 
     def _low_bound(self) -> Fraction:
         # Smallest exponent at which the series can be nonzero: either the
@@ -128,10 +117,10 @@ class FracPowerSeries:
         k = e * self.denominator
         if k.denominator != 1:
             return Fraction(0)  # off-grid exponents carry no term
-        return self._coeffs.get(int(k), Fraction(0))
+        return Fraction(self._nums.get(int(k), 0), self._scale)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     # -- ring operations ---------------------------------------------------
 
@@ -140,16 +129,20 @@ class FracPowerSeries:
             return NotImplemented
         d = lcm(self.denominator, other.denominator)
         t = min(self.truncation, other.truncation)
+        scale = lcm(self._scale, other._scale)
         sa, sb = d // self.denominator, d // other.denominator
-        out: Dict[int, Fraction] = {k * sa: c for k, c in self._coeffs.items()}
-        for k, c in other._coeffs.items():
+        ma, mb = scale // self._scale, scale // other._scale
+        out = {k * sa: n * ma for k, n in self._nums.items()}
+        for k, n in other._nums.items():
             key = k * sb
-            out[key] = out.get(key, Fraction(0)) + c
-        return FracPowerSeries(d, t, out)
+            out[key] = out.get(key, 0) + n * mb
+        bound = (t * d).__ceil__()  # key/d < t  <=>  key < bound
+        out = {k: n for k, n in out.items() if n and k < bound}
+        return _series(d, t, *_lowest_terms(scale, out))
 
     def __neg__(self) -> "FracPowerSeries":
-        return FracPowerSeries(self.denominator, self.truncation,
-                               {k: -c for k, c in self._coeffs.items()})
+        return _series(self.denominator, self.truncation, self._scale,
+                       {k: -n for k, n in self._nums.items()})
 
     def __sub__(self, other: "FracPowerSeries") -> "FracPowerSeries":
         if not isinstance(other, FracPowerSeries):
@@ -163,17 +156,13 @@ class FracPowerSeries:
             return NotImplemented
         return _packed_power(self, 1, other)
 
-    def _numerators(self) -> Tuple[int, Dict[int, int]]:
-        """(L, {key: L * coeff}) with L the lcm of the coefficient denominators."""
-        scale, nums = _clear_denominators(self._coeffs.values())
-        return scale, dict(zip(self._coeffs, nums))
-
     __rmul__ = __mul__
 
     def scale(self, r: Rational) -> "FracPowerSeries":
         r = Fraction(r)
-        return FracPowerSeries(self.denominator, self.truncation,
-                               {k: c * r for k, c in self._coeffs.items()})
+        nums = {k: n * r.numerator for k, n in self._nums.items()} if r else {}
+        return _series(self.denominator, self.truncation,
+                       *_lowest_terms(self._scale * r.denominator, nums))
 
     def shift(self, e: Rational) -> "FracPowerSeries":
         """Multiply by the exact monomial q^e (truncation shifts with it)."""
@@ -181,8 +170,8 @@ class FracPowerSeries:
         d = lcm(self.denominator, e.denominator)
         s = d // self.denominator
         off = int(e * d)
-        return FracPowerSeries(d, self.truncation + e,
-                               {k * s + off: c for k, c in self._coeffs.items()})
+        return _series(d, self.truncation + e, self._scale,
+                       {k * s + off: n for k, n in self._nums.items()})
 
     def __pow__(self, k: int) -> "FracPowerSeries":
         if not isinstance(k, int) or k < 0:
@@ -196,40 +185,47 @@ class FracPowerSeries:
     def invert(self) -> "FracPowerSeries":
         """Multiplicative inverse q^{-e} * u^{-1} for self = q^e * u, u(0) != 0.
 
-        Standard unit recurrence on the 1/D grid, run on integers: with L the
-        lcm of the coefficient denominators, U = L*u has integer
-        coefficients U_k, and u^{-1} has coefficients L * B_n / U_0^(n+1) for
-            B_0 = 1,   B_n = -sum_{k=1..n} U_k U_0^(k-1) B_{n-k}.
-        Keys are counted in steps of the gcd of u's keys, which keeps the
-        powers of U_0 small.  The result is exact below T - 2e.
+        Standard unit recurrence on the 1/D grid, run on integers.  The
+        stored numerators are U = L*u with L the scale, so u^{-1} = L/U.
+        With N the last step below the truncation, 1/U has coefficients
+        C_n / U_0^(N+1) for the integers
+            C_0 = U_0^N,   C_n = -(sum_{k=1..n} U_k C_{n-k}) / U_0,
+        each division exact, and the result is L C_n / U_0^(N+1), reduced
+        by one gcd.  Keys are counted in steps of the gcd of u's keys, which
+        keeps N and the powers of U_0 small.  Step n sums over its sparser
+        side: the nonzero U_k with k <= n, or the nonzero C_j found so far,
+        whichever are fewer; the inverse of the dense partition series is
+        the lacunary pentagonal series.  The result is exact below T - 2e.
         """
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("the zero series has no inverse")
         d = self.denominator
-        e_key = min(self._coeffs)
-        scale, nums = self._numerators()
-        u = {k - e_key: n for k, n in nums.items()}  # unit part, times L
-        step = gcd(*u) or 1
+        e_key = min(self._nums)
+        step = gcd(*(k - e_key for k in self._nums)) or 1
+        n_max = ((self.truncation * d).__ceil__() - 1 - e_key) // step  # last step below T
+        u = [0] * (n_max + 1)  # U, one slot a step
+        for k, n in self._nums.items():
+            u[(k - e_key) // step] = n
         u0 = u[0]
-        t_unit = self.truncation - Fraction(e_key, d)  # exactness of u and of u^{-1}
-        n_max = ((t_unit * d).__ceil__() - 1) // step  # largest step below t_unit
-        weights = [(k // step, u[k] * u0 ** (k // step - 1)) for k in sorted(u) if k > 0]
-        b = [1]
+        u_terms = [(k, x) for k, x in enumerate(u) if x and k]
+        c = [u0 ** n_max]
+        c_terms = [(0, c[0])]
+        live = 0  # the U_k with 0 < k <= n are u_terms[:live]
         for n in range(1, n_max + 1):
-            s = 0
-            for k, w in weights:
-                if k > n:
-                    break
-                s += w * b[n - k]
-            b.append(-s)
-        out: Dict[int, Fraction] = {}
-        power = u0
-        for n, bn in enumerate(b):
-            if bn:
-                out[n * step - e_key] = Fraction(scale * bn, power)
-            power *= u0
-        t_out = t_unit - Fraction(e_key, d)
-        return FracPowerSeries(d, t_out, out)
+            if live < len(u_terms) and u_terms[live][0] == n:
+                live += 1
+            if live <= len(c_terms):
+                s = sum(x * c[n - k] for k, x in u_terms[:live])
+            else:
+                s = sum(x * u[n - j] for j, x in c_terms)
+            c.append(-s // u0)
+            if s:
+                c_terms.append((n, c[n]))
+        den = u0 ** (n_max + 1)
+        lead = self._scale if den > 0 else -self._scale
+        out = {n * step - e_key: lead * x for n, x in c_terms}
+        t_out = self.truncation - 2 * Fraction(e_key, d)
+        return _series(d, t_out, *_lowest_terms(abs(den), out))
 
     # -- comparison --------------------------------------------------------
 
@@ -247,14 +243,13 @@ class FracPowerSeries:
         # Walk the keys on the lcm grid, comparing numerators at the two
         # scales by cross-multiplication.
         d = lcm(self.denominator, other.denominator)
-        la, anums = self._numerators()
-        lb, bnums = other._numerators()
+        la, lb = self._scale, other._scale
         sa, sb = d // self.denominator, d // other.denominator
-        a = {key * sa: n for key, n in anums.items()}
-        b = {key * sb: n for key, n in bnums.items()}
-        limit = order.numerator * d  # key/d >= order  <=>  key * order.den >= limit
+        a = {key * sa: n for key, n in self._nums.items()}
+        b = {key * sb: n for key, n in other._nums.items()}
+        bound = (order * d).__ceil__()  # key/d < order  <=>  key < bound
         for key in sorted(a.keys() | b.keys()):
-            if key * order.denominator >= limit:
+            if key >= bound:
                 break
             x, y = a.get(key, 0), b.get(key, 0)
             if x * lb != y * la:
@@ -266,39 +261,88 @@ class FracPowerSeries:
         return self.first_mismatch(other, order) is None
 
     def __eq__(self, other) -> bool:
-        # Structural equality: same truncation and identical coefficients.
+        # Structural equality: same truncation and the same stored form once
+        # the keys are on the lcm grid.
         if not isinstance(other, FracPowerSeries):
             return NotImplemented
-        if self.truncation != other.truncation:
+        if self.truncation != other.truncation or self._scale != other._scale:
             return False
-        return {Fraction(k, self.denominator): c for k, c in self._coeffs.items()} == \
-               {Fraction(k, other.denominator): c for k, c in other._coeffs.items()}
+        d = lcm(self.denominator, other.denominator)
+        sa, sb = d // self.denominator, d // other.denominator
+        return {k * sa: n for k, n in self._nums.items()} == \
+               {k * sb: n for k, n in other._nums.items()}
 
     __hash__ = None
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Interchange form: terms [exp_num, coeff_num, coeff_den] on grid D."""
+        """Interchange form: terms [exp_num, coeff_num, coeff_den] on grid D,
+        each coefficient in lowest terms."""
+        nums, scale = self._nums, self._scale
+        terms = []
+        for k in sorted(nums):
+            g = gcd(nums[k], scale)
+            terms.append([k, nums[k] // g, scale // g])
         return {
             "denominator": self.denominator,
             "truncation": [self.truncation.numerator, self.truncation.denominator],
-            "terms": [[k, self._coeffs[k].numerator, self._coeffs[k].denominator]
-                      for k in sorted(self._coeffs)],
+            "terms": terms,
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "FracPowerSeries":
+        """Read the interchange form; a coefficient need not be in lowest
+        terms, may have a negative denominator and may be zero."""
         t = Fraction(data["truncation"][0], data["truncation"][1])
-        coeffs = {int(k): Fraction(cn, cd) for k, cn, cd in data["terms"]}
-        return FracPowerSeries(int(data["denominator"]), t, coeffs)
+        return _series(*_normal_form(int(data["denominator"]), t, data["terms"]))
 
     def __repr__(self):
-        body = " + ".join(f"({c})q^({Fraction(k, self.denominator)})"
-                          for k, c in sorted(self._coeffs.items())[:6])
-        if len(self._coeffs) > 6:
+        body = " + ".join(f"({c})q^({e})" for e, c in islice(self.terms(), 6))
+        if len(self._nums) > 6:
             body += " + ..."
         return f"FracPowerSeries({body or '0'}; T={self.truncation}, D={self.denominator})"
+
+
+def _series(denominator: int, truncation: Fraction, scale: int,
+            nums: Dict[int, int]) -> FracPowerSeries:
+    """The series with this stored form, taken as it stands: the caller
+    keeps the invariants of FracPowerSeries."""
+    s = object.__new__(FracPowerSeries)
+    s.denominator, s.truncation, s._scale, s._nums = denominator, truncation, scale, nums
+    return s
+
+
+def _lowest_terms(scale: int, nums: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
+    """(scale, nums) divided by gcd(scale, *nums.values())."""
+    g = gcd(scale, *nums.values())
+    if g == 1:
+        return scale, nums
+    return scale // g, {k: n // g for k, n in nums.items()}
+
+
+def _normal_form(denominator: int, truncation: Rational,
+                 rows: Iterable[Tuple[int, int, int]]
+                 ) -> Tuple[int, Fraction, int, Dict[int, int]]:
+    """The stored form (D, T, scale, nums) of the terms (key, num, den),
+    each num/den q^(key/D); zero terms and keys at or beyond T are dropped,
+    and a key that is not an integer raises ValueError."""
+    if denominator <= 0:
+        raise ValueError("grid denominator must be positive")
+    truncation = Fraction(truncation)
+    bound = (truncation * denominator).__ceil__()  # k/D < T  <=>  k < bound
+    kept = []
+    for k, num, den in rows:
+        key = int(k)
+        if key != k:
+            raise ValueError(f"key {k} is not an integer")
+        if not den:
+            raise ZeroDivisionError(f"coefficient {num}/{den}")
+        if num and key < bound:
+            kept.append((key, num, den))
+    scale = lcm(1, *(den for _, _, den in kept))
+    nums = {key: num * (scale // den) for key, num, den in kept}
+    return (denominator, truncation, *_lowest_terms(scale, nums))
 
 
 # -- the product kernel ------------------------------------------------------
@@ -337,10 +381,10 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
     # truncation, so the product is exact below T_x + low_y and T_y + low_x.
     # Hence a**j is exact below T_a + (j - 1) low_a, with lowest term j low_a.
     t = min(a.truncation + (k - 1) * low_a + b._low_bound(), b.truncation + k * low_a)
-    if not a._coeffs or not b._coeffs:
-        return FracPowerSeries(d, t, {})
-    la, anums = a._numerators()
-    lb, bnums = b._numerators()
+    if not a._nums or not b._nums:
+        return _series(d, t, 1, {})
+    la, anums = a._scale, a._nums
+    lb, bnums = b._scale, b._nums
     sa, sb = d // a.denominator, d // b.denominator
     base_a, base_b = min(anums) * sa, min(bnums) * sb
     step = gcd(*(key * sa - base_a for key in anums),
@@ -373,10 +417,7 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
         raw = value.to_bytes(size, "little")
         digits = [int.from_bytes(raw[o:o + width], "little") for o in range(0, size, width)]
     out = {base + step * i: x - half for i, x in enumerate(digits) if x != half}
-    scale = la ** k * lb
-    if scale != 1:
-        out = {key: Fraction(n, scale) for key, n in out.items()}
-    return FracPowerSeries(d, t, out)
+    return _series(d, t, *_lowest_terms(la ** k * lb, out))
 
 
 def _pack(slotted: List[Tuple[int, int]], width: int, slots: int) -> int:
@@ -419,7 +460,7 @@ def euler_product(order: int) -> FracPowerSeries:
             a[j + n] -= a[j]
         if a[n]:
             nonzero.append(n)
-    return FracPowerSeries(1, order, {j: a[j] for j in nonzero})
+    return _series(1, Fraction(order), 1, {j: a[j] for j in nonzero})
 
 
 def eta(order: int) -> FracPowerSeries:

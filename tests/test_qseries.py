@@ -345,7 +345,7 @@ def fraction_inverse(s):
     t_unit = s.truncation - e
     b = {0: 1 / c0}
     for n in range(1, (t_unit * d).__ceil__()):
-        b[n] = -sum((u[k] * b[n - k] for k in u if 0 < k <= n), F(0)) / c0
+        b[n] = -sum((u[k] * b[n - k] for k in u if 0 < k <= n and b[n - k]), F(0)) / c0
     return FracPowerSeries(d, t_unit - e, {n - int(e * d): c for n, c in b.items()})
 
 
@@ -368,6 +368,47 @@ def test_invert_matches_fraction_recurrence(a):
     inv = a.invert()
     assert inv == fraction_inverse(a)
     assert inv.denominator == a.denominator
+
+
+def partition_numbers(order):
+    """p(0..order-1), counting the parts 1, 2, ... one at a time."""
+    p = [1] + [0] * (order - 1)
+    for part in range(1, order):
+        for n in range(part, order):
+            p[n] += p[n - part]
+    return p
+
+
+# The deterministic cases below reach both sides of invert's sum: the
+# partition series is a dense unit with a lacunary (pentagonal) inverse, and
+# eta a lacunary unit with a dense inverse; a dense rational unit with
+# u0 = 3/4 has dense sides and a scale that grows with every step.
+
+@pytest.mark.parametrize("d, e", [(1, F(0)), (24, F(-1, 24))])
+def test_invert_partition_series_to_order_400(d, e):
+    p = partition_numbers(400)
+    s = FracPowerSeries(d, 400 + e, {int((n + e) * d): c for n, c in enumerate(p)})
+    inv = s.invert()
+    assert inv == fraction_inverse(s)
+    assert inv.truncation == 400 - e
+    assert {x + e: c for x, c in inv.terms()} == oracle_pentagonal_coeffs(400)
+
+
+def test_invert_eta_400():
+    s = eta(400)
+    inv = s.invert()
+    assert inv == fraction_inverse(s)
+    assert {x + F(1, 24): c for x, c in inv.terms()} == dict(enumerate(partition_numbers(400)))
+
+
+@pytest.mark.parametrize("d, e", [(1, F(0)), (8, F(3, 8))])
+def test_invert_dense_rational_unit(d, e):
+    coeffs = {F(k): F((-1) ** k * (k % 7 + 1), k % 5 + 1) for k in range(1, 40)}
+    coeffs[F(0)] = F(3, 4)
+    s = FracPowerSeries(d, 40 + e, {int((k + e) * d): c for k, c in coeffs.items()})
+    inv = s.invert()
+    assert inv == fraction_inverse(s)
+    assert len(inv.support()) == 40
 
 
 @settings(max_examples=100, deadline=None)
@@ -498,3 +539,47 @@ def test_json_terms_sorted_by_exponent():
     data = jacobi_rhs(30).to_json_dict()
     exps = [row[0] for row in data["terms"]]
     assert exps == sorted(exps)
+
+
+def test_json_reads_unreduced_negative_and_zero_coefficients():
+    rows = [[-3, 2, 4], [1, 1, -2], [2, 0, 5], [9, -6, -4], [16, 7, 1], [20, 10, 5]]
+    s = FracPowerSeries.from_json_dict({"denominator": 8, "truncation": [5, 2], "terms": rows})
+    expected = {k: F(cn, cd) for k, cn, cd in rows if cn and k < 20}  # 20/8 is the truncation
+    assert dict(s.terms()) == {F(k, 8): c for k, c in expected.items()}
+    assert s.to_json_dict() == {
+        "denominator": 8, "truncation": [5, 2],
+        "terms": [[k, c.numerator, c.denominator] for k, c in sorted(expected.items())]}
+    assert s == FracPowerSeries(8, F(5, 2), expected)
+
+
+def test_json_rejects_zero_denominators_and_non_integers():
+    for row in ([1, 3, 0], [1, 0, 0]):
+        with pytest.raises(ZeroDivisionError):
+            FracPowerSeries.from_json_dict({"denominator": 1, "truncation": [5, 1],
+                                            "terms": [[0, 1, 1], row]})
+    for row in ([1, 1.5, 1], [1, 1, 2.0]):
+        with pytest.raises(TypeError):
+            FracPowerSeries.from_json_dict({"denominator": 1, "truncation": [5, 1],
+                                            "terms": [[0, 1, 1], row]})
+
+
+def test_equal_series_from_different_routes():
+    a = FracPowerSeries(8, 6, {1: F(3, 4), 9: F(-5, 6), 17: 2})
+    prod = a * a.invert()
+    assert prod.denominator == 8
+    assert prod == FracPowerSeries.one(prod.truncation)
+    half = FracPowerSeries.monomial(1, F(1, 2), 3)
+    assert half + half == FracPowerSeries.monomial(1, 1, 3)
+    assert (half + half).to_json_dict()["terms"] == [[1, 1, 1]]
+    assert FracPowerSeries.from_json_dict(
+        {"denominator": 4, "truncation": [3, 1], "terms": [[4, -3, -6]]}) == half
+    assert half.scale(6) - FracPowerSeries.monomial(1, 3, 3) == FracPowerSeries.zero(3)
+
+
+def test_constructor_rejects_keys_off_the_grid():
+    with pytest.raises(ValueError):
+        FracPowerSeries(8, 10, {F(1, 3): 1, F(17, 2): 5})
+    with pytest.raises(ValueError):
+        FracPowerSeries.from_json_dict({"denominator": 8, "truncation": [10, 1],
+                                        "terms": [[0.5, 1, 1]]})
+    assert FracPowerSeries(8, 10, {F(16, 2): 5}).support() == [F(1)]
