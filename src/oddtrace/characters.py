@@ -108,9 +108,9 @@ def _sum_terms(terms: List[Tuple[int, Fraction, Fraction]], max_exponent: Fracti
 
 
 def _eta_cubed_quarter(order: Fraction) -> FracPowerSeries:
-    """eta^3 / 4 exact strictly below `order` >= 1/8 (and at `order` itself)."""
-    n = ceil(order - F(1, 8)) + 1
-    return (eta(n) ** 3) * F(1, 4)
+    """eta^3 / 4 exact at and below `order` >= 1/8: eta(n) ** 3 is exact
+    below n + 1/8, so n = ceil(order) covers every exponent up to `order`."""
+    return (eta(ceil(order)) ** 3) * F(1, 4)
 
 
 def resolve_signs(max_exponent: Fraction) -> Dict[int, int]:
@@ -155,7 +155,7 @@ def compare_series(name: str, lhs: FracPowerSeries, rhs: FracPowerSeries,
 def verify_jacobi(order: Fraction) -> VerificationReport:
     """Coefficientwise check of eta^3 = q^(1/8) sum (4n+1) q^(n(2n+1)) below order."""
     order = _check_order(order)
-    n = max(1, ceil(order - F(1, 8)))
+    n = ceil(order)  # both sides are exact below n + 1/8
     return compare_series("jacobi-eta-cubed", eta(n) ** 3, jacobi_rhs(n), order)
 
 
@@ -164,9 +164,8 @@ def _fermion_route(max_level: int) -> Tuple[pbw.GradedTraceReport, VerificationR
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     trace = pbw.fermion_odd_trace(max_level)
-    order = F(1, 24) + max_level + 1
     return trace, compare_series("fermion-odd-trace-eta", trace.series,
-                                 eta(max_level + 1), order)
+                                 eta(max_level + 1), trace.series.truncation)
 
 
 def _bgg_route(order: Fraction

@@ -3,9 +3,11 @@ residual checks of the T and S transformation laws.
 
 These are numerical witnesses, not proofs: a truncated expansion is summed at
 q = exp(2*pi*i*tau) and compared against its transform, with a heuristic tail
-bound G*|q|^T/(1-|q|) (G the largest stored |coefficient|).  The bound is
-meaningful for the lacunary, slowly-growing series checked here on the test
-region Im tau >= 0.8, where |q| < 0.007.
+estimate G*|q|^T/(1-|q|) (G the largest stored |coefficient|).  The estimate
+is meant for the lacunary, slowly-growing series checked here.  On the S
+region Im tau >= 0.8, |q| <= exp(-1.6 pi) < 0.0066 at tau, but not at
+-1/tau: Im(-1/tau) = Im tau / |tau|^2, so |q| there is 0.0101 at
+tau = 0.45 + 1.2i, 0.28 at tau = 0.1 + 5i, and tends to 1 as Im tau grows.
 """
 
 from __future__ import annotations
@@ -61,15 +63,20 @@ def eval_series(s: FracPowerSeries, tau: TauPoint) -> Tuple[complex, float]:
     covers exponents at and beyond the truncation, assuming coefficients
     stay within the largest magnitude seen so far.  That can fail, so it is
     not a bound: for eta^3 at order 3 and tau = 0.1+0.8i it reads 4.55e-7,
-    below the true tail of 7.54e-7.
+    below the true tail of 7.54e-7.  A point where |q| rounds to 1 leaves
+    the estimate's 1/(1 - |q|) undefined and raises ConstraintError.
     """
+    qabs = math.exp(-TWO_PI * tau.im)
+    if qabs == 1.0:
+        raise ConstraintError(
+            f"|q| rounds to 1 at tau = {tau.re} + {tau.im}i, where no truncated "
+            "series can be evaluated")
     z = tau.z
     value = 0j
     gmax = 0.0
     for e, c in s.terms():
         value += float(c) * cmath.exp(TWO_PI * 1j * z * float(e))
         gmax = max(gmax, abs(float(c)))
-    qabs = math.exp(-TWO_PI * tau.im)
     tail = max(1.0, gmax) * qabs ** float(s.truncation) / (1.0 - qabs)
     return value, tail
 
@@ -93,8 +100,10 @@ def check_S(s: FracPowerSeries, weight: Fraction, tau: TauPoint,
     """Residual of f(-1/tau) = multiplier * (-i*tau)^weight * f(tau).
 
     (-i*tau)^weight uses the principal branch.  tau is restricted to the
-    standard position Re in (-1/2, 1/2], Im >= 0.8 so that both tau and
-    -1/tau keep |q| small and the truncation tails negligible.
+    standard position Re in (-1/2, 1/2], Im >= 0.8.  That keeps
+    |q| < 0.0066 at tau, but bounds nothing at -1/tau: Im(-1/tau) =
+    Im tau / |tau|^2, which is 0.20 at tau = 0.1 + 5i (|q| about 0.28) and
+    tends to 0 as Im tau grows, so the tail estimate there can be large.
     """
     if not (-0.5 < tau.re <= 0.5 and tau.im >= 0.8):
         raise ConstraintError(

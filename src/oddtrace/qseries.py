@@ -127,15 +127,13 @@ class FracPowerSeries:
     def __add__(self, other: "FracPowerSeries") -> "FracPowerSeries":
         if not isinstance(other, FracPowerSeries):
             return NotImplemented
-        d = lcm(self.denominator, other.denominator)
+        d, a, b = _aligned(self, other)
         t = min(self.truncation, other.truncation)
         scale = lcm(self._scale, other._scale)
-        sa, sb = d // self.denominator, d // other.denominator
         ma, mb = scale // self._scale, scale // other._scale
-        out = {k * sa: n * ma for k, n in self._nums.items()}
-        for k, n in other._nums.items():
-            key = k * sb
-            out[key] = out.get(key, 0) + n * mb
+        out = {k: n * ma for k, n in a.items()}
+        for k, n in b.items():
+            out[k] = out.get(k, 0) + n * mb
         bound = (t * d).__ceil__()  # key/d < t  <=>  key < bound
         out = {k: n for k, n in out.items() if n and k < bound}
         return _series(d, t, *_lowest_terms(scale, out))
@@ -242,11 +240,8 @@ class FracPowerSeries:
                 f"order {order} exceeds a truncation ({self.truncation}, {other.truncation})")
         # Walk the keys on the lcm grid, comparing numerators at the two
         # scales by cross-multiplication.
-        d = lcm(self.denominator, other.denominator)
+        d, a, b = _aligned(self, other)
         la, lb = self._scale, other._scale
-        sa, sb = d // self.denominator, d // other.denominator
-        a = {key * sa: n for key, n in self._nums.items()}
-        b = {key * sb: n for key, n in other._nums.items()}
         bound = (order * d).__ceil__()  # key/d < order  <=>  key < bound
         for key in sorted(a.keys() | b.keys()):
             if key >= bound:
@@ -261,16 +256,9 @@ class FracPowerSeries:
         return self.first_mismatch(other, order) is None
 
     def __eq__(self, other) -> bool:
-        # Structural equality: same truncation and the same stored form once
-        # the keys are on the lcm grid.
         if not isinstance(other, FracPowerSeries):
             return NotImplemented
-        if self.truncation != other.truncation or self._scale != other._scale:
-            return False
-        d = lcm(self.denominator, other.denominator)
-        sa, sb = d // self.denominator, d // other.denominator
-        return {k * sa: n for k, n in self._nums.items()} == \
-               {k * sb: n for k, n in other._nums.items()}
+        return self.truncation == other.truncation and self.eq_to_order(other, self.truncation)
 
     __hash__ = None
 
@@ -311,6 +299,16 @@ def _series(denominator: int, truncation: Fraction, scale: int,
     s = object.__new__(FracPowerSeries)
     s.denominator, s.truncation, s._scale, s._nums = denominator, truncation, scale, nums
     return s
+
+
+def _aligned(a: FracPowerSeries, b: FracPowerSeries
+             ) -> Tuple[int, Dict[int, int], Dict[int, int]]:
+    """(d, a_nums, b_nums): the lcm grid d of a and b and the numerators of
+    each keyed on it.  A stored dict already on grid d is returned as it
+    stands, not copied, so callers only read what this returns."""
+    d = lcm(a.denominator, b.denominator)
+    return (d, *(s._nums if s.denominator == d else
+                 {k * (d // s.denominator): n for k, n in s._nums.items()} for s in (a, b)))
 
 
 def _lowest_terms(scale: int, nums: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
@@ -375,27 +373,21 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
     to whole bytes above that.  Cost: O(slots * w) to pack and to unpack, and
     k products of ints of slots * w bits.
     """
-    d = lcm(a.denominator, b.denominator)
+    d, anums, bnums = _aligned(a, b)
     low_a = a._low_bound()
     # An unknown contribution to x * y needs a factor at or beyond its
     # truncation, so the product is exact below T_x + low_y and T_y + low_x.
     # Hence a**j is exact below T_a + (j - 1) low_a, with lowest term j low_a.
     t = min(a.truncation + (k - 1) * low_a + b._low_bound(), b.truncation + k * low_a)
-    if not a._nums or not b._nums:
+    if not anums or not bnums:
         return _series(d, t, 1, {})
-    la, anums = a._scale, a._nums
-    lb, bnums = b._scale, b._nums
-    sa, sb = d // a.denominator, d // b.denominator
-    base_a, base_b = min(anums) * sa, min(bnums) * sb
-    step = gcd(*(key * sa - base_a for key in anums),
-               *(key * sb - base_b for key in bnums)) or 1
+    base_a, base_b = min(anums), min(bnums)
+    step = gcd(*(key - base_a for key in anums), *(key - base_b for key in bnums)) or 1
     base = k * base_a + base_b
     slots = ((t * d).__ceil__() - 1 - base) // step + 1  # base < t * d
     reach = slots * step  # an operand's slot i reaches only result slots >= i
-    slotted_a = [((key * sa - base_a) // step, n) for key, n in anums.items()
-                 if key * sa - base_a < reach]
-    slotted_b = [((key * sb - base_b) // step, n) for key, n in bnums.items()
-                 if key * sb - base_b < reach]
+    slotted_a = [((key - base_a) // step, n) for key, n in anums.items() if key - base_a < reach]
+    slotted_b = [((key - base_b) // step, n) for key, n in bnums.items() if key - base_b < reach]
     bound = (len(slotted_a) * max(abs(n) for _, n in slotted_a)) ** k \
         * max(abs(n) for _, n in slotted_b)
     width = (bound.bit_length() + 8) // 8  # bytes, with the sign bit
@@ -417,7 +409,7 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
         raw = value.to_bytes(size, "little")
         digits = [int.from_bytes(raw[o:o + width], "little") for o in range(0, size, width)]
     out = {base + step * i: x - half for i, x in enumerate(digits) if x != half}
-    return _series(d, t, *_lowest_terms(la ** k * lb, out))
+    return _series(d, t, *_lowest_terms(a._scale ** k * b._scale, out))
 
 
 def _pack(slotted: List[Tuple[int, int]], width: int, slots: int) -> int:

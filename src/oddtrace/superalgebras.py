@@ -48,7 +48,6 @@ class Kind(enum.Enum):
 
 
 _RAMOND = {Kind.L, Kind.G, Kind.CENTRAL}
-_FERMION = {Kind.PSI, Kind.UNIT}
 _ODD = {Kind.G, Kind.PSI}
 _UNINDEXED = {Kind.CENTRAL, Kind.UNIT}
 

@@ -302,6 +302,7 @@ def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
     lambda: modcheck.check_S(qseries.eta(5), F(1, 2), modcheck.TauPoint(0.1, 0.5), 1),
     lambda: superalgebras.minimal_model_spectrum(3, 4),
     lambda: characters.resolve_signs(F(1, 9)),
+    lambda: modcheck.eval_series(qseries.eta(5), modcheck.TauPoint(0.1, 1e-20)),
 ])
 def test_input_checks_raise_constraint_errors(call):
     with pytest.raises(ConstraintError):
@@ -317,6 +318,8 @@ def test_input_checks_raise_constraint_errors(call):
     ["resolve-signs", "--order", "1/9"],
     ["resolve-signs", "--order", "0"],
     ["resolve-signs", "--order", "-3"],
+    ["modcheck", "--tau=0.1,1e-20"],
+    ["modcheck", "--tau=0.1,1e308"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -305,6 +305,29 @@ def _agree(a, b):
     return a.eq_to_order(b, order)
 
 
+def _regridded(s, d):
+    """s rebuilt from its JSON form with every key on the finer grid d."""
+    data = s.to_json_dict()
+    step = d // data["denominator"]
+    return FracPowerSeries.from_json_dict({
+        "denominator": d, "truncation": data["truncation"],
+        "terms": [[k * step, n, m] for k, n, m in data["terms"]]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), series())
+def test_eq_is_same_truncation_and_agreement_below_it(a, b):
+    for x, y in ((a, b), (a, _regridded(a, 24)), (_regridded(b, 24), b)):
+        assert (x == y) == (x.truncation == y.truncation
+                            and x.eq_to_order(y, x.truncation))
+    assert a == _regridded(a, 24) and _regridded(b, 24) == b
+
+
+def test_eq_needs_the_same_truncation():
+    terms = {0: 1, 3: F(-2, 3)}
+    assert FracPowerSeries(1, 5, terms) != FracPowerSeries(1, 6, terms)
+
+
 @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(series(), series())
 def test_add_mul_commute(a, b):
