@@ -92,7 +92,8 @@ def bgg_odd_trace(max_exponent: Fraction, signs: Mapping[int, int]) -> FracPower
 def _sum_terms(terms: List[Tuple[int, Fraction, Fraction]], max_exponent: Fraction,
                signs: Mapping[int, int]) -> FracPowerSeries:
     """The magnitudes |term| below max_exponent, term k signed by signs[k],
-    on the 1/8 grid of the (2, 8) exponents."""
+    on the 1/8 grid of the (2, 8) exponents; ValueError for an exponent off
+    that grid."""
     max_exponent = Fraction(max_exponent)
     series: Dict[int, Fraction] = {}
     for k, exponent, term in terms:
@@ -103,7 +104,7 @@ def _sum_terms(terms: List[Tuple[int, Fraction, Fraction]], max_exponent: Fracti
                              f"(exponent {exponent} below {max_exponent})")
         if signs[k] not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        series[int(8 * exponent)] = signs[k] * abs(term)
+        series[8 * exponent] = signs[k] * abs(term)
     return FracPowerSeries(8, max_exponent, series)
 
 
@@ -162,7 +163,7 @@ def verify_jacobi(order: Fraction) -> VerificationReport:
 def _fermion_route(max_level: int) -> Tuple[pbw.GradedTraceReport, VerificationReport]:
     """The brute-force trace and its check against eta, each computed once."""
     if max_level < 1:
-        raise ValueError("max_level must be at least 1")
+        raise ConstraintError("level must be at least 1")
     trace = pbw.fermion_odd_trace(max_level)
     return trace, compare_series("fermion-odd-trace-eta", trace.series,
                                  eta(max_level + 1), trace.series.truncation)

@@ -40,7 +40,6 @@ __all__ = [
     "supersymmetry_check",
     "q1_functional_solution_space",
     "random_homogeneous_queer",
-    "random_homogeneous_end",
 ]
 
 F = Fraction
@@ -217,25 +216,11 @@ def _random_block(rows: int, cols: int, rng: random.Random) -> List[List[Fractio
             for _ in range(rows)]
 
 
-def _zero_block(rows: int, cols: int) -> List[List[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def random_homogeneous_queer(n: int, rng: random.Random) -> Supermatrix:
     """Even (X, 0) or odd (0, Y) in Q_n with probability 1/2 each, on one
     rng.random() draw; the nonzero block's entries are
     randint(-9, 9)/randint(1, 9), row by row."""
-    zero = _zero_block(n, n)
+    zero = [[0] * n for _ in range(n)]
     if rng.random() < 0.5:
         return Supermatrix.queer(_random_block(n, n, rng), zero)
     return Supermatrix.queer(zero, _random_block(n, n, rng))
-
-
-def random_homogeneous_end(d0: int, d1: int, rng: random.Random) -> Supermatrix:
-    """Even (A, D) or odd (B, C) in End(d0|d1) with probability 1/2 each,
-    with the entries of random_homogeneous_queer, drawn block by block."""
-    if rng.random() < 0.5:
-        a, d = _random_block(d0, d0, rng), _random_block(d1, d1, rng)
-        return Supermatrix.from_blocks(d0, d1, a, _zero_block(d0, d1), _zero_block(d1, d0), d)
-    b, c = _random_block(d0, d1, rng), _random_block(d1, d0, rng)
-    return Supermatrix.from_blocks(d0, d1, _zero_block(d0, d0), b, c, _zero_block(d1, d1))

@@ -223,7 +223,7 @@ def test_verify_fermion_eta_level_one():
 
 
 def test_verify_fermion_eta_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintError, match="^level must be at least 1$"):
         _fermion_route(0)
 
 

@@ -127,6 +127,30 @@ def test_modcheck(capsys):
     assert len(witness) == 1 and witness[0]["residual"] > 1e-2
 
 
+def test_modcheck_witness_meets_the_S_tolerance(capsys):
+    # At Im tau = 20 the sign-flipped multiplier misses S by about 2.7e-5:
+    # far above the S tolerance 1e-8, so every row passes.
+    code, out = _capture(capsys, ["modcheck", "--order", "350", "--tau=0.1,20"])
+    data = json.loads(out)
+    assert code == 0 and data["pass"] is True
+    assert [r["pass"] for r in data["rows"]] == [True] * 5
+    assert data["rows"][-1]["multiplier"] == [-1.0, 0.0]
+    assert cli.S_TOLERANCE < data["rows"][-1]["residual"] < 1e-4
+
+
+def test_modcheck_witness_fails_where_S_cannot_discriminate(capsys):
+    # At Im tau = 40 both multipliers meet S to within 1e-8, so the witness
+    # row fails while both right-multiplier S rows pass.
+    code, out = _capture(capsys, ["modcheck", "--order", "350", "--tau=0.1,40"])
+    data = json.loads(out)
+    assert code == 1 and data["pass"] is False
+    failing = [r for r in data["rows"] if not r["pass"]]
+    assert len(failing) == 1 and failing[0]["multiplier"] == [-1.0, 0.0]
+    assert failing[0]["residual"] < cli.S_TOLERANCE
+    s_rows = [r for r in data["rows"] if r.get("multiplier") == [1.0, 0.0]]
+    assert len(s_rows) == 2 and all(r["pass"] for r in s_rows)
+
+
 def test_residual_json_row(capsys):
     # The residuals are floats from cmath, so the rows are pinned by structure.
     _, out = _capture(capsys, ["modcheck", "--order", "50", "--tau", "0.1,0.9"])
@@ -280,6 +304,17 @@ def test_library_fault_is_not_a_usage_error(monkeypatch, capsys):
         main(["bgg", "--order", "20"])
 
 
+def test_off_grid_exponent_is_refused_not_moved(monkeypatch, capsys):
+    # Kac labels (3, 5, 1, 2) put the resolution exponents at n^2/120, off
+    # the 1/8 grid: the term at q^(1/120) must be refused, not truncated to
+    # q^0, and the refusal is a fault of the model, so it must not exit 2.
+    monkeypatch.setattr(characters, "_KAC_LABELS", (3, 5, 1, 2))
+    with pytest.raises(ValueError, match="is not an integer$"):
+        characters._bgg_route(F(1))
+    with pytest.raises(ValueError, match="is not an integer$"):
+        main(["bgg", "--order", "1"])
+
+
 def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
     # A ValueError from inside the library is a fault of the program: `main`
     # lets it through, and the `oddtrace` command exits 3 with its traceback.
@@ -303,6 +338,7 @@ def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
     lambda: superalgebras.minimal_model_spectrum(3, 4),
     lambda: characters.resolve_signs(F(1, 9)),
     lambda: modcheck.eval_series(qseries.eta(5), modcheck.TauPoint(0.1, 1e-20)),
+    lambda: characters._fermion_route(0),
 ])
 def test_input_checks_raise_constraint_errors(call):
     with pytest.raises(ConstraintError):

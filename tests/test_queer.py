@@ -14,7 +14,6 @@ from oddtrace.queer import (
     q1_functional_solution_space,
     queer_basis,
     queer_mul,
-    random_homogeneous_end,
     random_homogeneous_queer,
     supercommutator,
     supersymmetry_check,
@@ -424,21 +423,8 @@ def test_supertrace_identity_2_3():
 
 
 def test_supertrace_vanishes_on_odd_elements():
-    rng = random.Random(5)
-    for _ in range(30):
-        e = random_homogeneous_end(2, 2, rng)
-        if e.parity == 1:
-            assert supertrace(e) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_supertrace_supersymmetry(seed):
-    rng = random.Random(seed)
-    a = random_homogeneous_end(2, 2, rng)
-    b = random_homogeneous_end(2, 2, rng)
-    sgn = (-1) ** (a.parity * b.parity)
-    assert supertrace(queer_mul(a, b)) == sgn * supertrace(queer_mul(b, a))
+    odd = [e for e in end_basis(2, 2) if e.parity == 1]
+    assert len(odd) == 8 and all(supertrace(e) == 0 for e in odd)
 
 
 def test_end_blocks_validated():
@@ -457,7 +443,7 @@ def test_queer_blocks_validated():
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# sampler
 # ---------------------------------------------------------------------------
 
 def ref_block(rows, cols, rng):
@@ -475,16 +461,8 @@ def ref_homogeneous_queer(n, rng):
     return queer_full(ref_zeros(n, n), ref_block(n, n, rng))
 
 
-def ref_homogeneous_end(d0, d1, rng):
-    if rng.random() < 0.5:
-        a, d = ref_block(d0, d0, rng), ref_block(d1, d1, rng)
-        return end_full(a, ref_zeros(d0, d1), ref_zeros(d1, d0), d)
-    b, c = ref_block(d0, d1, rng), ref_block(d1, d0, rng)
-    return end_full(ref_zeros(d0, d0), b, c, ref_zeros(d1, d1))
-
-
 # Acceptance criterion 6 reads its pairs off a fixed seed, so the order of
-# the draws is part of the samplers' contract.
+# the draws is part of the sampler's contract.
 @pytest.mark.parametrize("seed", [0, 1, 2024, 94099])
 def test_samples_follow_the_stream_of_record(seed):
     rng, ref = random.Random(seed), random.Random(seed)
@@ -492,13 +470,6 @@ def test_samples_follow_the_stream_of_record(seed):
         for n in range(1, 5):
             got = random_homogeneous_queer(n, rng)
             assert (got.d0, got.d1) == (n, n) and to_full(got) == ref_homogeneous_queer(n, ref)
-        for d0 in range(4):
-            for d1 in range(4):
-                got = random_homogeneous_end(d0, d1, rng)
-                assert (got.d0, got.d1) == (d0, d1)
-                assert to_full(got) == ref_homogeneous_end(d0, d1, ref)
-                assert got.parity in (0, 1)
-                assert all(type(v) is Fraction for v in got.entries.values())
     assert rng.getstate() == ref.getstate()
 
 
