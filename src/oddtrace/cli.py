@@ -191,7 +191,7 @@ def _cmd_spectrum(config):
 def _cmd_cancellation(config):
     """signed monomial counts (must vanish above level 0)"""
     if config.level < 1:
-        raise ConstraintError("--level must be >= 1")
+        raise ConstraintError("level must be at least 1")
     levels = [[n, c] for n, c in enumerate(pbw.signed_monomial_counts(config.level))]
     counts_ok = all(c == (1 if n == 0 else 0) for n, c in levels)
     # independent q-series route: prod(1-q^n) * prod(1-q^n)^{-1} = 1
@@ -384,9 +384,12 @@ def _check_cap(config: CommandConfig) -> None:
                                   f"{config.command}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Flags are left out of the namespace unless given, so that the defaults
-    # live in CommandConfig alone.  `python -OO` strips the docstrings.
+    # Cached for the process: parsing leaves the parser unchanged, and
+    # argparse makes its help formatter only when it prints.  Flags are left
+    # out of the namespace unless given, so that the defaults live in
+    # CommandConfig alone.  `python -OO` strips the docstrings.
     commands = "".join(f"  {name:<15}{handler.__doc__ or ''}\n"
                        for name, handler in COMMANDS.items())
     caps = "".join(f"  {name:<15}--{flag} <= {cap}\n" for name, (flag, cap) in CAPS.items())
@@ -412,14 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built on the first call and kept for the
-    process: parsing leaves it unchanged, and argparse makes its help
-    formatter only when it prints."""
-    return build_parser()
-
-
 def _attach_tau_value(argv: List[str]) -> List[str]:
     """Rewrite `--tau -0.3,0.9` as `--tau=-0.3,0.9`.
 
@@ -438,7 +433,7 @@ def _attach_tau_value(argv: List[str]) -> List[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _shared_parser().parse_args(_attach_tau_value(argv))
+    args = build_parser().parse_args(_attach_tau_value(argv))
     return run(CommandConfig(**vars(args)))
 
 

@@ -59,12 +59,13 @@ def eval_series(s: FracPowerSeries, tau: TauPoint) -> Tuple[complex, float]:
     """Sum of the stored terms at q = exp(2*pi*i*tau), with a heuristic
     estimate of the tail.
 
-    Fractional powers are principal: q^e = exp(2*pi*i*tau*e).  The estimate
-    covers exponents at and beyond the truncation, assuming coefficients
-    stay within the largest magnitude seen so far.  That can fail, so it is
-    not a bound: for eta^3 at order 3 and tau = 0.1+0.8i it reads 4.55e-7,
-    below the true tail of 7.54e-7.  A point where |q| rounds to 1 leaves
-    the estimate's 1/(1 - |q|) undefined and raises ConstraintError.
+    Each interchange row [k, num, den] of `to_json_dict` is one float term
+    (num / den) exp(2*pi*i*tau*k/D), the principal q^(k/D).  The estimate
+    covers exponents at and beyond the truncation, assuming coefficients stay
+    within the largest magnitude seen so far.  That can fail, so it is not a
+    bound: for eta^3 at order 3 and tau = 0.1+0.8i it reads 4.55e-7, below the
+    true tail of 7.54e-7.  A point where |q| rounds to 1 leaves the estimate's
+    1/(1 - |q|) undefined and raises ConstraintError.
     """
     qabs = math.exp(-TWO_PI * tau.im)
     if qabs == 1.0:
@@ -72,11 +73,14 @@ def eval_series(s: FracPowerSeries, tau: TauPoint) -> Tuple[complex, float]:
             f"|q| rounds to 1 at tau = {tau.re} + {tau.im}i, where no truncated "
             "series can be evaluated")
     z = tau.z
+    data = s.to_json_dict()
+    d = data["denominator"]
     value = 0j
     gmax = 0.0
-    for e, c in s.terms():
-        value += float(c) * cmath.exp(TWO_PI * 1j * z * float(e))
-        gmax = max(gmax, abs(float(c)))
+    for k, num, den in data["terms"]:
+        c = num / den
+        value += c * cmath.exp(TWO_PI * 1j * z * (k / d))
+        gmax = max(gmax, abs(c))
     tail = max(1.0, gmax) * qabs ** float(s.truncation) / (1.0 - qabs)
     return value, tail
 

@@ -266,7 +266,7 @@ def _fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_shared_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+def test_cached_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     # main reuses one parser in a process; usage errors and --help before a
     # valid call must leave nothing behind in it.
     monkeypatch.setenv("COLUMNS", "80")
@@ -361,6 +361,12 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["fermion-trace", "cancellation"])
+def test_level_refusal_has_one_wording(capsys, name):
+    assert main([name, "--level", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: level must be at least 1\n")
 
 
 @pytest.mark.parametrize("name", sorted(cli.CAPS))

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oddtrace.modcheck import ModularResidual, TauPoint, check_S, check_T, eval_series
-from oddtrace.qseries import FracPowerSeries, eta
+from oddtrace.cli import main
+from oddtrace.modcheck import (TWO_PI, ModularResidual, TauPoint, check_S, check_T,
+                               eval_series)
+from oddtrace.qseries import FracPowerSeries, eta, euler_product
 
 F = Fraction
 
@@ -76,6 +78,53 @@ def test_eval_eta_matches_mpmath_q_pochhammer(re, im):
     for series, expected in [(e, oracle), (e ** 3, oracle ** 3)]:
         v, tail = eval_series(series, tau)
         assert abs(v - expected) <= tail + 1e-12
+
+
+def fraction_sum(s, tau):
+    """Reference: the sum over `terms()`, one reduced Fraction exponent and
+    coefficient per term, each turned into a float."""
+    qabs = math.exp(-TWO_PI * tau.im)
+    value = 0j
+    gmax = 0.0
+    for e, c in s.terms():
+        value += float(c) * cmath.exp(TWO_PI * 1j * tau.z * float(e))
+        gmax = max(gmax, abs(float(c)))
+    return value, max(1.0, gmax) * qabs ** float(s.truncation) / (1.0 - qabs)
+
+
+def _signed_rational_series():
+    # negative rational coefficients, unreduced in the input, on grid 24
+    return FracPowerSeries(24, F(40), {k: F((-1) ** k * (k + 3), 6 + k % 9)
+                                       for k in range(1, 960, 11)})
+
+
+@pytest.mark.parametrize("series", [
+    lambda: eta(350),
+    lambda: eta(350) ** 3,
+    lambda: euler_product(60).invert().scale(F(2, 3)).shift(F(1, 8)),
+    _signed_rational_series,
+], ids=["eta", "eta^3", "rational", "signed"])
+@pytest.mark.parametrize("re, im", [(0.1, 0.9), (-0.45, 0.8), (0.45, 1.2), (0.1, 5.0),
+                                     (0.3, 0.8)])
+def test_eval_equals_the_fraction_sum_exactly(series, re, im):
+    # int / int true division is correctly rounded, as float(Fraction) is,
+    # and the terms are summed in the same order, so the floats are equal.
+    s = series()
+    tau = TauPoint(re, im)
+    assert eval_series(s, tau) == fraction_sum(s, tau)
+
+
+def test_modcheck_needs_no_fraction_terms(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("terms() called")
+
+    monkeypatch.setattr(FracPowerSeries, "terms", refuse)
+    s = eta(80) ** 3
+    eval_series(s, TAU)
+    assert check_T(s, F(3, 2), TAU).residual < 1e-10
+    assert check_S(s, F(3, 2), TAU, 1).residual < 1e-8
+    assert main(["modcheck"]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
