@@ -363,7 +363,7 @@ def run(config: CommandConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_report(payload, config.fmt)
-    if config.out:
+    if config.out is not None:
         try:
             _write_report(config.out, text)
         except OSError as exc:

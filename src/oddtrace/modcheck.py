@@ -34,10 +34,10 @@ class TauPoint:
     im: float
 
     def __post_init__(self):
-        if not self.im > 0:
-            raise ConstraintError(f"tau must lie in the upper half-plane (im = {self.im})")
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
             raise ConstraintError(f"tau must be finite (got re = {self.re}, im = {self.im})")
+        if not self.im > 0:
+            raise ConstraintError(f"tau must lie in the upper half-plane (im = {self.im})")
 
     @property
     def z(self) -> complex:

@@ -16,13 +16,14 @@ vanishes on every supercommutator [a, b] = ab - (-1)^{p(a)p(b)} ba.
 That condition is bilinear, so checking it on every ordered pair of a
 homogeneous basis proves it for all elements: `supersymmetry_check` does so
 on the basis of matrix units, and returns the dimension of the functionals
-that vanish on all those supercommutators, from one fraction-free
-elimination.  Dimension 1 means phi is the only supersymmetric functional,
-up to a scalar.
+that vanish on all those supercommutators, from one integer elimination
+with the content divided out.  Dimension 1 means phi is the only
+supersymmetric functional, up to a scalar.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,17 +172,23 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
 
 
 def _echelon(rows) -> dict:
-    """A row echelon form of the sparse rows {key: value}, by fraction-free
-    elimination, as {leading key: row}; its size is the rank."""
+    """A row echelon form of the sparse rows {key: value}, int or Fraction, as
+    {leading key: row} with int entries of gcd 1; its size is the rank.  The
+    elimination runs on integers and divides out each row's content."""
     pivots: dict = {}
     for row in rows:
+        if type(sum(row.values())) is not int:  # some value is a Fraction
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            row = {k: x.numerator * (scale // x.denominator) for k, x in row.items()}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = row
+                g = math.gcd(*row.values())
+                pivots[lead] = {k: x // g for k, x in row.items()}
                 break
-            a, b = pivot[lead], row[lead]
+            g = math.gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
             row = {k: x for k in row.keys() | pivot.keys()
                    if (x := a * row.get(k, 0) - b * pivot.get(k, 0))}
     return pivots
@@ -191,24 +198,24 @@ def q1_functional_solution_space(
         pairs: Sequence[Tuple[Supermatrix, Supermatrix]],
 ) -> List[Tuple[Fraction, Fraction]]:
     """A basis of the (alpha, beta) for which alpha tr X + beta tr Y vanishes
-    on the supercommutator of each homogeneous pair, all in one Q_n.
+    on the supercommutator of each homogeneous pair, all in one Q_n; each
+    basis vector is divided by its first nonzero entry.
 
     On enough generic pairs in Q_1 the space is the line of the odd trace
     (0, 1): the uniqueness of the supersymmetric functional.
     """
-    rows = []
-    for a, b in pairs:
+    # Row i: functional i's values on the brackets, keyed (0, j), and 1 at the
+    # tracking key (1, -i), which sorts after them and before earlier rows' keys.
+    # A row that loses every value is a pivot led by (1, -i): a relation.
+    rows = [{(1, -i): 1} for i in range(2)]
+    for j, (a, b) in enumerate(pairs):
         c = supercommutator(a, b)
-        rows.append({k: x for k, x in enumerate((even_trace(c), odd_trace(c))) if x})
-    pivots = _echelon(rows)
-    if not pivots:
-        return [(F(1), F(0)), (F(0), F(1))]
-    if len(pivots) == 2:
-        return []
-    (row,) = pivots.values()
-    p, q = row.get(0, 0), row.get(1, 0)
-    scale = -q if q else p
-    return [(F(-q) / scale, F(p) / scale)]
+        for row, value in zip(rows, (even_trace(c), odd_trace(c))):
+            if value:
+                row[0, j] = value
+    relations = [[row.get((1, -i), 0) for i in range(2)]
+                 for lead, row in _echelon(rows).items() if lead[0] == 1]
+    return [tuple(F(x, next(filter(None, r))) for x in r) for r in relations]
 
 
 def _random_block(rows: int, cols: int, rng: random.Random) -> List[List[Fraction]]:

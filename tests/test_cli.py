@@ -436,6 +436,15 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target, reason):
     assert os.listdir(tmp_path) == []
 
 
+def test_empty_out_path_exits_2(tmp_path, capsys, monkeypatch):
+    # An empty path names no file: the report is not printed instead.
+    monkeypatch.chdir(tmp_path)
+    assert main(["eta", "--order", "3", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot write report to : No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_to_a_device_writes_through(capsys):
     code = main(["jacobi-verify", "--order", "20", "--out", os.devnull])
     assert code == 0

@@ -28,6 +28,10 @@ def test_tau_point_requires_finite_parts_and_names_them():
         TauPoint(0.1, float("inf"))
     with pytest.raises(ValueError, match="inf"):
         TauPoint(float("-inf"), 0.9)
+    # A NaN or -inf imaginary part is not finite before it is not positive.
+    for im in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TauPoint(0.1, im)
 
 
 def test_eval_constant_series():
