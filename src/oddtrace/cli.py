@@ -69,10 +69,13 @@ class CommandConfig:
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    # N[/D] only: Fraction also reads floats, and 1e5000 has no bounded cost.
+    if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _parse_tau(text: str) -> Tuple[float, float]:

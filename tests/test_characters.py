@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -96,9 +97,10 @@ def test_resolve_signs_window_stable():
         assert big[k] == s
 
 
-def test_resolve_signs_detects_impossible_target(monkeypatch):
-    # Corrupt the resolution terms; resolution must refuse to fit them.
-    from oddtrace import characters
+def test_resolve_signs_detects_impossible_target(monkeypatch, capsys):
+    # Corrupt the resolution terms; resolution must refuse to fit them, and
+    # the command reports the refusal as a failed check.
+    from oddtrace import characters, cli
 
     real = characters._resolution_terms
 
@@ -107,6 +109,9 @@ def test_resolve_signs_detects_impossible_target(monkeypatch):
     monkeypatch.setattr(characters, "_resolution_terms", corrupted)
     with pytest.raises(SignResolutionError):
         resolve_signs(EIGHTH + 1)
+    assert cli.main(["resolve-signs", "--order", "9/8"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "no sign matches at k=0: target/magnitude = 1/7"}
 
 
 def test_resolve_signs_agree_with_resolution_signs():

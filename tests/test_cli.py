@@ -225,10 +225,16 @@ def test_queer_check_counts_violations(capsys, monkeypatch):
     assert [row["dimension"] for row in data["algebras"]] == [1] * 5
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["jacobi-verify", "--bogus"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    # So does a flag value the parser refuses.  --order is N[/D] and nothing
+    # else: an exponent such as 1e5000 has no bounded cost.
+    for flags in (["--bogus"], ["--order", "1e5000"], ["--order", "1.5"],
+                  ["--order", "1_000"], ["--order", "1/0"], ["--tau", "0.1"],
+                  ["--tau", "a,b"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobi-verify", *flags])
+        assert exc.value.code == 2, flags
+        assert capsys.readouterr().err.splitlines()[-1].startswith("oddtrace: error: ")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -336,6 +342,7 @@ def test_kernel_fault_is_not_a_usage_error(monkeypatch, capsys):
     lambda: modcheck.TauPoint(float("nan"), 1.0),
     lambda: modcheck.check_S(qseries.eta(5), F(1, 2), modcheck.TauPoint(0.1, 0.5), 1),
     lambda: superalgebras.minimal_model_spectrum(3, 4),
+    lambda: superalgebras.minimal_model_spectrum(0, 8),
     lambda: characters.resolve_signs(F(1, 9)),
     lambda: modcheck.eval_series(qseries.eta(5), modcheck.TauPoint(0.1, 1e-20)),
     lambda: characters._fermion_route(0),
@@ -509,6 +516,7 @@ def test_text_format(capsys):
     code, out = _capture(capsys, ["jacobi-verify", "--order", "20", "--format", "text"])
     assert code == 0
     assert "pass: True" in out
+    assert cli.render_report([1, {"a": 2}], "text") == "1\n-\na: 2\n-\n"
 
 
 # ---------------------------------------------------------------------------
@@ -628,3 +636,5 @@ def test_run_accepts_config_directly(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out) == [{"p": 2, "pp": 4, "r": 1, "s": 2, "c": [0, 1], "h": [0, 1]}]
+    assert run(CommandConfig(command="nope")) == 2
+    assert capsys.readouterr() == ("", "error: unknown command 'nope'\n")

@@ -77,6 +77,8 @@ def test_monomial_level_and_validation():
         PBWMonomial((2, 1), (), 0)  # unsorted bosonic part
     with pytest.raises(ValueError):
         PBWMonomial((), (0,), 0)  # nonpositive mode
+    with pytest.raises(ValueError):
+        PBWMonomial((), (), -1)  # negative top index
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,8 @@ def test_ns_top_dim_doubles_and_validates():
     assert len(enumerate_ns_monomials(5, 2)) == 2 * len(enumerate_ns_monomials(5, 1))
     with pytest.raises(ValueError):
         enumerate_ns_monomials(5, 3)
+    with pytest.raises(ValueError):
+        enumerate_ns_monomials(-1, 1)
     with pytest.raises(ValueError):
         enumerate_fermion_monomials(-1)
 
@@ -225,6 +229,8 @@ def test_fermion_trace_level_zero_and_prefactor():
     assert report.levels == ((0, F(1)),)
     assert report.prefactor_exponent == F(1, 24)
     assert FERMION_PREFACTOR_EXPONENT == F(1, 16) - F(1, 2) / 24
+    with pytest.raises(ValueError):
+        fermion_odd_trace(-1)
 
 
 def test_fermion_trace_levels_equal_the_per_monomial_sums():

@@ -82,6 +82,12 @@ def test_add_identity():
     e = eta(20)
     z = FracPowerSeries.zero(e.truncation)
     assert (e + z) == e
+    assert repr(z) == "FracPowerSeries(0; T=481/24, D=1)"
+    # a plain number is not a series: + and - refuse it, and == is False
+    for op in (lambda: e + 1, lambda: e - 1):
+        with pytest.raises(TypeError):
+            op()
+    assert e != 0
 
 
 def test_add_merges_grids_to_lcm():
@@ -116,6 +122,8 @@ def test_mul_scalar():
     half = e * F(1, 2)
     assert half.coeff(F(1, 24)) == F(1, 2)
     assert half.truncation == e.truncation
+    with pytest.raises(TypeError):
+        e * 0.5  # an exact series takes no float scalar
 
 
 def test_eta_cubed_matches_jacobi_rhs_to_50():
@@ -162,6 +170,10 @@ def test_euler_product_expansion_start():
     for n in range(20):
         assert ep.coeff(n) == expected.get(n, 0)
     assert ep.coeff(4) == 0
+    assert repr(ep) == ("FracPowerSeries((1)q^(0) + (-1)q^(1) + (-1)q^(2) + (1)q^(5)"
+                        " + (1)q^(7) + (-1)q^(12) + ...; T=20, D=1)")
+    with pytest.raises(ValueError):
+        euler_product(0)
 
 
 def test_euler_product_matches_oracle_to_200():
@@ -207,6 +219,7 @@ def test_eta_prefactor_and_grid():
     assert e.coeff(F(1, 24)) == 1
     assert e.coeff(F(1, 24) + 1) == -1
     assert e.coeff(F(1, 24) + 3) == 0
+    assert e.coeff(F(1, 48)) == 0  # off the 1/24 grid
 
 
 def test_jacobi_rhs_terms():
@@ -222,6 +235,8 @@ def test_jacobi_rhs_window_one():
     rhs = jacobi_rhs(1)
     assert rhs.support() == [F(1, 8)]
     assert rhs.coeff(F(1, 8)) == 1
+    with pytest.raises(ValueError):
+        jacobi_rhs(0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +244,13 @@ def test_jacobi_rhs_window_one():
 # ---------------------------------------------------------------------------
 
 def test_power_zero_is_unit():
-    p = eta(10) ** 0
+    e = eta(10)
+    p = e ** 0
     assert p.eq_to_order(FracPowerSeries.one(p.truncation), p.truncation)
+    assert e ** 1 is e
+    for k in (-1, F(1, 2)):
+        with pytest.raises(ValueError):
+            e ** k
 
 
 def test_power_eta_cubed_lowest_term():
@@ -576,6 +596,8 @@ def test_json_reads_unreduced_negative_and_zero_coefficients():
 
 
 def test_json_rejects_zero_denominators_and_non_integers():
+    with pytest.raises(ValueError):
+        FracPowerSeries.from_json_dict({"denominator": 0, "truncation": [5, 1], "terms": []})
     for row in ([1, 3, 0], [1, 0, 0]):
         with pytest.raises(ZeroDivisionError):
             FracPowerSeries.from_json_dict({"denominator": 1, "truncation": [5, 1],

@@ -24,6 +24,7 @@ def test_parities_and_algebras():
     assert L(2).parity == 0 and C.parity == 0 and UNIT.parity == 0
     assert G(0).parity == 1 and psi(3).parity == 1
     assert L(0).algebra == "ramond" and psi(0).algebra == "fermion"
+    assert (repr(C), repr(UNIT), repr(G(-1)), repr(psi(3))) == ("C", "1", "G_-1", "psi_3")
     with pytest.raises(ValueError):
         BasisElement(Kind.CENTRAL, 2)
 
