@@ -50,7 +50,7 @@ CAPS = {
     "bgg": ("order", 8000),
     "resolve-signs": ("order", 8000),
     "modcheck": ("order", 8000),
-    "fermion-trace": ("level", 75),
+    "fermion-trace": ("level", 95),
     "cancellation": ("level", 52),
     "spectrum": ("pp", 300),
 }
@@ -68,6 +68,14 @@ class CommandConfig:
     out: Optional[str] = None
 
 
+def _named(text: str) -> str:
+    """`text`, or its number of digits when it is longer than 20 characters,
+    so that an error line does not echo a long argument in full."""
+    if len(text) <= 20:
+        return text
+    return f"<{sum(c.isdigit() for c in text)} digits>"
+
+
 def _parse_rational(text: str) -> Fraction:
     # N[/D] only: Fraction also reads floats, and 1e5000 has no bounded cost.
     if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
@@ -75,7 +83,17 @@ def _parse_rational(text: str) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
-    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a rational number: {_named(repr(text))}")
+
+
+def _parse_int(text: str) -> int:
+    # The integer part of N[/D]: int also reads 1_0 and " 10".
+    if re.fullmatch(r"[+-]?\d+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {_named(repr(text))}")
 
 
 def _parse_tau(text: str) -> Tuple[float, float]:
@@ -383,8 +401,8 @@ def _check_cap(config: CommandConfig) -> None:
         flag, cap = CAPS[config.command]
         value = getattr(config, flag)
         if value > cap:
-            raise ConstraintError(f"--{flag} {value} is above the cap of {cap} for "
-                                  f"{config.command}")
+            raise ConstraintError(f"--{flag} {_named(str(value))} is above the cap of "
+                                  f"{cap} for {config.command}")
 
 
 @functools.cache
@@ -409,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one of the commands listed below")
     parser.add_argument("--order", type=_parse_rational, metavar="N[/D]",
                         help="series order / comparison bound")
-    parser.add_argument("--level", type=int, help="monomial level cap")
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--pp", type=int, help="p' of the minimal model")
+    parser.add_argument("--level", type=_parse_int, help="monomial level cap")
+    parser.add_argument("--p", type=_parse_int)
+    parser.add_argument("--pp", type=_parse_int, help="p' of the minimal model")
     parser.add_argument("--tau", type=_parse_tau, metavar="RE,IM")
     parser.add_argument("--format", dest="fmt", choices=("json", "text"))
     parser.add_argument("--out", help="write the report to a file")

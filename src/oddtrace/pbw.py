@@ -8,8 +8,9 @@ the explicit action on monomials and assembled into a q-series with the
 q^{h - c/24} prefactor.
 
 The sign (-1)^t of a monomial depends on its fermionic part alone.  So the
-signed counts and the fermion trace build no monomials: they tally the
-signed sum over the distinct partitions of each level once, and the Verma
+signed counts and the fermion trace build no monomials: one depth-first
+walk over the sets of distinct parts up to the top level tallies each
+distinct partition once, into the signed sum of its level, and the Verma
 counts convolve those sums with the partition counts of the bosonic parts.
 """
 
@@ -164,9 +165,20 @@ def enumerate_ns_monomials(level: int, top_dim: int) -> List[PBWMonomial]:
 
 def _signed_distinct_counts(max_level: int) -> List[int]:
     """Sum of (-1)^t over the distinct partitions of m, t the number of
-    parts, for m = 0..max_level."""
-    return [sum(-1 if len(ferm) & 1 else 1 for ferm in _distinct_partitions(m))
-            for m in range(max_level + 1)]
+    parts, for m = 0..max_level.
+
+    One depth-first walk over every set of distinct parts of weight at most
+    max_level, on a stack of (weight, sign, least next part): each node is
+    one partition, tallied once into the count of its weight, and its
+    children add one part larger than all of its own."""
+    counts = [0] * (max_level + 1)
+    stack = [(0, 1, 1)]
+    while stack:
+        weight, sign, low = stack.pop()
+        counts[weight] += sign
+        for part in range(low, max_level - weight + 1):
+            stack.append((weight + part, -sign, part + 1))
+    return counts
 
 
 def signed_monomial_counts(max_level: int) -> List[int]:

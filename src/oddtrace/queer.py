@@ -18,7 +18,10 @@ homogeneous basis proves it for all elements: `supersymmetry_check` does so
 on the basis of matrix units, and returns the dimension of the functionals
 that vanish on all those supercommutators, from one integer elimination
 with the content divided out.  Dimension 1 means phi is the only
-supersymmetric functional, up to a scalar.
+supersymmetric functional, up to a scalar.  It forms ab and ba once for
+each unordered pair, builds both [a, b] and [b, a] from them, and tallies
+the brackets by their entries: phi runs, and a row is eliminated, once per
+distinct bracket, and a violation counts once per ordered pair.
 """
 
 from __future__ import annotations
@@ -121,13 +124,18 @@ def queer_mul(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     return Supermatrix(a.d0, a.d1, _nonzero(_product(a, b)))
 
 
+def _bracket(ab: Entries, ba: Entries, sign: int) -> Entries:
+    """The nonzero entries of ab - sign ba."""
+    out = dict(ab)
+    for key, v in ba.items():
+        out[key] = out.get(key, 0) - sign * v
+    return _nonzero(out)
+
+
 def supercommutator(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     """[a, b] = ab - (-1)^{p(a)p(b)} ba, for homogeneous a and b."""
     sign = -1 if a.parity & b.parity else 1
-    out = _product(a, b)
-    for key, v in _product(b, a).items():
-        out[key] = out.get(key, 0) - sign * v
-    return Supermatrix(a.d0, a.d1, _nonzero(out))
+    return Supermatrix(a.d0, a.d1, _bracket(_product(a, b), _product(b, a), sign))
 
 
 def odd_trace(a: Supermatrix) -> Fraction:
@@ -165,10 +173,26 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
     """(pairs, violations, dimension) on the algebra with this homogeneous
     basis: the number of ordered basis pairs, the number of them with
     phi([a, b]) != 0, and the dimension of the linear functionals that
-    vanish on every [a, b]."""
-    brackets = [supercommutator(a, b) for a in basis for b in basis]
-    violations = sum(1 for c in brackets if phi(c))
-    return len(brackets), violations, len(basis) - len(_echelon(c.entries for c in brackets))
+    vanish on every [a, b].
+
+    For each unordered pair the products ab and ba are formed once and give
+    both [a, b] and [b, a].  The brackets are tallied by their entries, so
+    phi is evaluated and a row eliminated once per distinct bracket; equal
+    rows cannot change the rank."""
+    parities = [a.parity for a in basis]
+    tally: Dict[frozenset, int] = {}
+    for i, a in enumerate(basis):
+        for j in range(i, len(basis)):
+            b = basis[j]
+            sign = -1 if parities[i] & parities[j] else 1
+            ab, ba = _product(a, b), _product(b, a)
+            for x, y in [(ab, ba)] if i == j else [(ab, ba), (ba, ab)]:
+                key = frozenset(_bracket(x, y, sign).items())
+                tally[key] = tally.get(key, 0) + 1
+    violations = sum(count for key, count in tally.items()
+                     if phi(Supermatrix(basis[0].d0, basis[0].d1, dict(key))))
+    rank = len(_echelon(dict(key) for key in tally))
+    return sum(tally.values()), violations, len(basis) - rank
 
 
 def _echelon(rows) -> dict:

@@ -237,6 +237,50 @@ def test_unknown_flag_exits_2(capsys):
         assert capsys.readouterr().err.splitlines()[-1].startswith("oddtrace: error: ")
 
 
+@pytest.mark.parametrize("flag", ["--level", "--p", "--pp"])
+@pytest.mark.parametrize("value", ["1_0", " 10", "10 ", "1.0", "0x10", "1/1", "+", ""])
+def test_integer_flags_take_only_digits(capsys, flag, value):
+    # [+-]?digits, as --order takes N[/D]: int() alone also reads 1_0 and " 10".
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"oddtrace: error: argument {flag}: not an integer: {value!r}"
+
+
+def test_integer_flags_take_a_sign():
+    args = build_parser().parse_args(["spectrum", "--p", "+2", "--pp", "-8", "--level", "007"])
+    assert (args.p, args.pp, args.level) == (2, -8, 7)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["eta", "--order", "9" * 20], "9" * 20),
+    (["eta", "--order", "9" * 21], "<21 digits>"),
+    (["eta", "--order", "9" * 4300], "<4300 digits>"),
+    (["bgg", "--order", "9" * 30 + "/8"], "<31 digits>"),
+    (["fermion-trace", "--level", "9" * 400], "<400 digits>"),
+])
+def test_cap_error_names_a_long_value_by_its_digits(capsys, argv, shown):
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {argv[1]} {shown} is above the cap of {cli.CAPS[argv[0]][1]} "
+            f"for {argv[0]}\n")
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--order", "9" * 5000, "<5000 digits>"),
+    ("--order", "1e" + "9" * 400, "<401 digits>"),
+    ("--level", "9" * 5000, "<5000 digits>"),
+    ("--pp", "1_" + "0" * 30, "<31 digits>"),
+])
+def test_parse_error_names_a_long_value_by_its_digits(capsys, flag, value, shown):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f": {shown}") and len(err) < 80
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_parser_defaults_are_command_config_defaults(name):
     assert CommandConfig(**vars(build_parser().parse_args([name]))) == CommandConfig(name)

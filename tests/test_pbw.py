@@ -7,6 +7,7 @@ from oddtrace.pbw import (
     _distinct_partitions,
     _partition_pairs,
     _partitions,
+    _signed_distinct_counts,
     PBWMonomial,
     enumerate_fermion_monomials,
     enumerate_ns_monomials,
@@ -211,6 +212,16 @@ def test_signed_counts_match_the_pair_walk():
         assert count == signed_monomial_count(n)
     with pytest.raises(ValueError):
         signed_monomial_counts(-1)
+
+
+def test_signed_distinct_counts_match_the_per_level_tally():
+    # One walk over every set of distinct parts up to weight n against the
+    # distinct partitions of each level, enumerated level by level.
+    per_level = [sum(-1 if len(ferm) & 1 else 1 for ferm in _distinct_partitions(m))
+                 for m in range(41)]
+    for n in range(41):
+        assert _signed_distinct_counts(n) == per_level[:n + 1]
+    assert per_level[:ORDER] == [SIGNED.get(m, 0) for m in range(ORDER)]
 
 
 def test_signed_count_matches_product_identity():

@@ -420,6 +420,42 @@ def test_echelon_entries_stay_small(n):
     assert all(-2 ** 63 <= x < 2 ** 63 for row in pivots.values() for x in row.values())
 
 
+def reference_supersymmetry_check(basis, phi):
+    """The check bracket by bracket: supercommutator on every ordered pair,
+    one violation per pair, and every row eliminated."""
+    brackets = [supercommutator(a, b) for a in basis for b in basis]
+    violations = sum(1 for c in brackets if phi(c))
+    return len(brackets), violations, len(basis) - len(queer._echelon(c.entries for c in brackets))
+
+
+def plain_trace(c):
+    """tr A + tr D: supersymmetric on no superalgebra with odd elements."""
+    return sum((v for (i, j), v in c.entries.items() if i == j), F(0))
+
+
+@pytest.mark.parametrize("basis", [
+    queer_basis(1), queer_basis(2), queer_basis(3), end_basis(2, 2), mixed_basis(3, seed=3),
+], ids=["Q_1", "Q_2", "Q_3", "End(2|2)", "mixed Q_3"])
+@pytest.mark.parametrize("phi", [odd_trace, even_trace, supertrace, plain_trace])
+def test_supersymmetry_check_matches_the_pairwise_reference(basis, phi):
+    assert supersymmetry_check(basis, phi) == reference_supersymmetry_check(basis, phi)
+
+
+@pytest.mark.parametrize("name, basis, phi, violations, distinct", [
+    ("Q_2", queer_basis(2), even_trace, 4, 16),
+    ("Q_4", queer_basis(4), even_trace, 16, 83),
+    ("End(2|2)", end_basis(2, 2), plain_trace, 8, 33),
+    ("End(2|2)", end_basis(2, 2), odd_trace, 16, 33),
+    ("mixed Q_3", mixed_basis(3, seed=3), even_trace, 79, 280),
+])
+def test_violations_count_every_ordered_pair_and_phi_runs_once_per_bracket(
+        name, basis, phi, violations, distinct):
+    calls = []
+    pairs, got, dimension = supersymmetry_check(basis, lambda c: calls.append(c) or phi(c))
+    assert (pairs, got, dimension) == (len(basis) ** 2, violations, 1)
+    assert len(calls) == len({frozenset(c.entries.items()) for c in calls}) == distinct
+
+
 # ---------------------------------------------------------------------------
 # odd_trace
 # ---------------------------------------------------------------------------
