@@ -40,16 +40,17 @@ T_TOLERANCE = 1e-10
 INTERNAL_ERROR = 3
 
 # The largest --order, --level or --pp each command takes: each costs about
-# 1 s there (Python 3.11, shared 2-core host).  euler_product is O(order^2),
-# the partition enumerations grow exponentially with the level, and spectrum
-# lists about p p'/2 weights, with p < p'.
+# 1 s there (Python 3.11, shared 2-core host).  The --order commands take
+# 0.4-0.9 s at 50000, about 0.4 s of it in euler_product's order^1.5
+# additions; the partition enumerations grow exponentially with the level,
+# and spectrum lists about p p'/2 weights, with p < p'.
 CAPS = {
-    "eta": ("order", 8000),
-    "eta3": ("order", 8000),
-    "jacobi-verify": ("order", 8000),
-    "bgg": ("order", 8000),
-    "resolve-signs": ("order", 8000),
-    "modcheck": ("order", 8000),
+    "eta": ("order", 50000),
+    "eta3": ("order", 50000),
+    "jacobi-verify": ("order", 50000),
+    "bgg": ("order", 50000),
+    "resolve-signs": ("order", 50000),
+    "modcheck": ("order", 50000),
     "fermion-trace": ("level", 95),
     "cancellation": ("level", 52),
     "spectrum": ("pp", 300),
@@ -74,6 +75,25 @@ def _named(text: str) -> str:
     if len(text) <= 20:
         return text
     return f"<{sum(c.isdigit() for c in text)} digits>"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of |n|, counted without str(), which
+    refuses an int of more than 4300 digits."""
+    n = abs(n)
+    d = max(1, int(n.bit_length() * 0.30103) - 1)  # not above the count
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def _named_number(value) -> str:
+    """`_named(str(value))` for an int or a Fraction, read off its digit
+    counts when it is too long to show."""
+    digits = _digits(value.numerator)
+    if value.denominator != 1:
+        digits += _digits(value.denominator)
+    return _named(str(value)) if digits <= 20 else f"<{digits} digits>"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -109,7 +129,7 @@ def _parse_tau(text: str) -> Tuple[float, float]:
 def _int_order(config: CommandConfig) -> int:
     if config.order.denominator != 1 or config.order < 1:
         raise ConstraintError(f"--order must be an integer >= 1 for this command "
-                              f"(got {config.order})")
+                              f"(got {_named_number(config.order)})")
     return int(config.order)
 
 
@@ -401,7 +421,7 @@ def _check_cap(config: CommandConfig) -> None:
         flag, cap = CAPS[config.command]
         value = getattr(config, flag)
         if value > cap:
-            raise ConstraintError(f"--{flag} {_named(str(value))} is above the cap of "
+            raise ConstraintError(f"--{flag} {_named_number(value)} is above the cap of "
                                   f"{cap} for {config.command}")
 
 

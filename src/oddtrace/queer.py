@@ -18,10 +18,11 @@ homogeneous basis proves it for all elements: `supersymmetry_check` does so
 on the basis of matrix units, and returns the dimension of the functionals
 that vanish on all those supercommutators, from one integer elimination
 with the content divided out.  Dimension 1 means phi is the only
-supersymmetric functional, up to a scalar.  It forms ab and ba once for
-each unordered pair, builds both [a, b] and [b, a] from them, and tallies
-the brackets by their entries: phi runs, and a row is eliminated, once per
-distinct bracket, and a violation counts once per ordered pair.
+supersymmetric functional, up to a scalar.  It indexes each basis element
+by its rows once, forms ab and ba once for each unordered pair, builds both
+[a, b] and [b, a] from them, and tallies the brackets by their entries: phi
+runs, and a row is eliminated, once per distinct bracket, and a violation
+counts once per ordered pair.
 """
 
 from __future__ import annotations
@@ -100,17 +101,25 @@ class Supermatrix:
         return int(True in parities)
 
 
-def _product(a: Supermatrix, b: Supermatrix) -> Entries:
-    """The entries of ab, summed over the nonzero entries of a and b; some
-    may be zero."""
+def _same_size(a: Supermatrix, b: Supermatrix) -> None:
     if (a.d0, a.d1) != (b.d0, b.d1):
         raise ValueError(f"size mismatch: ({a.d0}|{a.d1}) vs ({b.d0}|{b.d1})")
+
+
+def _rows(b: Supermatrix) -> Dict[int, list]:
+    """The nonzero entries of b by row, {i: [(j, value)]}."""
     rows: Dict[int, list] = {}
     for (k, j), v in b.entries.items():
         rows.setdefault(k, []).append((j, v))
+    return rows
+
+
+def _product(a: Supermatrix, b_rows: Dict[int, list]) -> Entries:
+    """The entries of ab, with b given by its rows `_rows(b)`, summed over
+    the nonzero entries of a and b; some may be zero."""
     out: Entries = {}
     for (i, k), u in a.entries.items():
-        for j, v in rows.get(k, ()):
+        for j, v in b_rows.get(k, ()):
             out[i, j] = out.get((i, j), 0) + u * v
     return out
 
@@ -121,7 +130,8 @@ def _nonzero(entries: Entries) -> Entries:
 
 def queer_mul(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     """The matrix product ab, in Q_n or in any End(d0|d1)."""
-    return Supermatrix(a.d0, a.d1, _nonzero(_product(a, b)))
+    _same_size(a, b)
+    return Supermatrix(a.d0, a.d1, _nonzero(_product(a, _rows(b))))
 
 
 def _bracket(ab: Entries, ba: Entries, sign: int) -> Entries:
@@ -135,7 +145,8 @@ def _bracket(ab: Entries, ba: Entries, sign: int) -> Entries:
 def supercommutator(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     """[a, b] = ab - (-1)^{p(a)p(b)} ba, for homogeneous a and b."""
     sign = -1 if a.parity & b.parity else 1
-    return Supermatrix(a.d0, a.d1, _bracket(_product(a, b), _product(b, a), sign))
+    _same_size(a, b)
+    return Supermatrix(a.d0, a.d1, _bracket(_product(a, _rows(b)), _product(b, _rows(a)), sign))
 
 
 def odd_trace(a: Supermatrix) -> Fraction:
@@ -175,17 +186,20 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
     phi([a, b]) != 0, and the dimension of the linear functionals that
     vanish on every [a, b].
 
-    For each unordered pair the products ab and ba are formed once and give
-    both [a, b] and [b, a].  The brackets are tallied by their entries, so
-    phi is evaluated and a row eliminated once per distinct bracket; equal
-    rows cannot change the rank."""
+    Each element is indexed by its rows once.  For each unordered pair the
+    products ab and ba are formed once and give both [a, b] and [b, a].
+    The brackets are tallied by their entries, so phi is evaluated and a row
+    eliminated once per distinct bracket; equal rows cannot change the
+    rank."""
     parities = [a.parity for a in basis]
+    for b in basis:
+        _same_size(basis[0], b)
+    rows = [_rows(a) for a in basis]
     tally: Dict[frozenset, int] = {}
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
-            b = basis[j]
             sign = -1 if parities[i] & parities[j] else 1
-            ab, ba = _product(a, b), _product(b, a)
+            ab, ba = _product(a, rows[j]), _product(basis[j], rows[i])
             for x, y in [(ab, ba)] if i == j else [(ab, ba), (ba, ab)]:
                 key = frozenset(_bracket(x, y, sign).items())
                 tally[key] = tally.get(key, 0) + 1

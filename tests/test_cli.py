@@ -267,6 +267,27 @@ def test_cap_error_names_a_long_value_by_its_digits(capsys, argv, shown):
             f"for {argv[0]}\n")
 
 
+def test_a_value_past_int_string_conversion_is_named_by_its_digits(capsys):
+    # run() takes values the parser refuses: str() converts no int of more
+    # than 4300 digits, so a value is named from its digit counts instead.
+    assert run(CommandConfig("fermion-trace", level=10 ** 5000)) == 2
+    assert run(CommandConfig("eta", order=F(10 ** 5000))) == 2
+    assert run(CommandConfig("eta", order=F(-10 ** 5000))) == 2
+    assert run(CommandConfig("eta", order=F(10 ** 5000 + 1, 10 ** 5000))) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: --level <5001 digits> is above the cap of "
+        f"{cli.CAPS['fermion-trace'][1]} for fermion-trace\n"
+        f"error: --order <5001 digits> is above the cap of {cli.CAPS['eta'][1]} for eta\n"
+        "error: --order must be an integer >= 1 for this command (got <5001 digits>)\n"
+        "error: --order must be an integer >= 1 for this command (got <10002 digits>)\n"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 19, 20, 21, 400, 4300, 4301, 5000])
+def test_digit_count_at_each_power_of_ten(k):
+    n = 10 ** k
+    assert [cli._digits(x) for x in (n - 1, n, -n, 0)] == [k, k + 1, k + 1, 1]
+
+
 @pytest.mark.parametrize("flag, value, shown", [
     ("--order", "9" * 5000, "<5000 digits>"),
     ("--order", "1e" + "9" * 400, "<401 digits>"),
@@ -434,8 +455,8 @@ def test_cost_caps_are_real_limits(capsys):
     # The order cap runs for real (about 1 s); a rational order just past it
     # is refused, as are the level after the cancellation cap and the first
     # admissible pair past the spectrum cap.
-    assert main(["jacobi-verify", "--order", "8000"]) == 0
-    assert main(["bgg", "--order", "64001/8"]) == 2
+    assert main(["jacobi-verify", "--order", "50000"]) == 0
+    assert main(["bgg", "--order", "400001/8"]) == 2
     assert main(["cancellation", "--level", "53"]) == 2
     assert main(["spectrum", "--p", "299", "--pp", "301"]) == 2
     capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oddtrace import qseries
+from oddtrace.cli import CAPS
 from oddtrace.qseries import FracPowerSeries, eta, euler_product, jacobi_rhs
 
 F = Fraction
@@ -191,8 +192,9 @@ def test_euler_product_matches_pentagonal_theorem_to_1000():
 
 
 def factor_by_factor_euler_coeffs(order):
-    """The dense loop euler_product replaced: every (1 - q^n) updates every
-    k >= n, with a descending index."""
+    """The product as written, one factor at a time: every (1 - q^n) updates
+    every k >= n, with a descending index.  It shares no step with the
+    distinct-parts identity that euler_product sums."""
     a = [0] * order
     a[0] = 1
     for n in range(1, order):
@@ -201,15 +203,36 @@ def factor_by_factor_euler_coeffs(order):
     return {k: c for k, c in enumerate(a) if c}
 
 
-@pytest.mark.parametrize("order", [*range(1, 81), 342, 359, 1000])
+LEVEL_EDGES = {k * (k + 1) // 2 + d for k in range(1, 41) for d in (-1, 0, 1)} - {0}
+
+
+@pytest.mark.parametrize("order", sorted({*range(1, 81), *LEVEL_EDGES, 342, 359, 1000}))
 def test_euler_product_matches_factor_by_factor_loop(order):
-    # Orders 1..80 cross every 2n >= order edge of the slice step, and the
-    # closed-form orders and 1000 the settled list at length.
+    # Level k of the identity counts once T_k = k(k+1)/2 < order: the orders
+    # T_k - 1, T_k and T_k + 1 for k = 1..40 cross each level's edge, 1..80
+    # every short list, and the closed-form orders and 1000 the list at length.
     ep = euler_product(order)
     assert ep.truncation == order
     terms = {int(e): c for e, c in ep.terms()}
     assert all(c != 0 for c in terms.values())
     assert terms == factor_by_factor_euler_coeffs(order)
+
+
+def test_euler_product_below_n_does_not_depend_on_the_order():
+    # The levels that count and the length of each bracket grow with the
+    # order; the coefficients below a smaller order must not move.
+    series = {m: list(euler_product(m).terms()) for m in [*range(1, 61), 342, 359, 1000, 8000]}
+    for m, terms in series.items():
+        for n, prefix in series.items():
+            if n < m:
+                assert [(e, c) for e, c in terms if e < n] == prefix, (n, m)
+
+
+def test_euler_product_at_the_order_cap_matches_pentagonal_theorem():
+    cap = max(cap for flag, cap in CAPS.values() if flag == "order")
+    ep = euler_product(cap)
+    assert ep.truncation == cap
+    assert {int(e): c for e, c in ep.terms()} == oracle_pentagonal_coeffs(cap)
 
 
 def test_eta_prefactor_and_grid():

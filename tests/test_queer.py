@@ -331,6 +331,11 @@ def test_supersymmetric_needs_homogeneous_elements_of_one_algebra():
         supercommutator(Supermatrix.theta(1), Supermatrix.identity(1, 0))
 
 
+def test_supersymmetry_check_needs_one_algebra():
+    with pytest.raises(ValueError, match=r"size mismatch: \(1\|1\) vs \(2\|2\)"):
+        supersymmetry_check([Supermatrix.theta(1), Supermatrix.theta(2)], odd_trace)
+
+
 @pytest.mark.parametrize("name, basis, phi, pairs", [
     ("Q_1", queer_basis(1), odd_trace, 4),
     ("Q_2", queer_basis(2), odd_trace, 64),
