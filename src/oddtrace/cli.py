@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
-from .errors import ConstraintError
+from .errors import ConstraintError, _digits, _named, _named_number
 from .modcheck import ModularResidual, TauPoint, check_S, check_T
 from .qseries import FracPowerSeries, eta, euler_product
 
@@ -42,8 +42,9 @@ INTERNAL_ERROR = 3
 # The largest --order, --level or --pp each command takes: each costs about
 # 1 s there (Python 3.11, shared 2-core host).  The --order commands take
 # 0.4-0.9 s at 50000, about 0.4 s of it in euler_product's order^1.5
-# additions; the partition enumerations grow exponentially with the level,
-# and spectrum lists about p p'/2 weights, with p < p'.
+# additions; fermion-trace and cancellation walk every set of distinct parts
+# up to the level, a count that grows exponentially with it, and spectrum
+# lists about p p'/2 weights, with p < p'.
 CAPS = {
     "eta": ("order", 50000),
     "eta3": ("order", 50000),
@@ -52,7 +53,7 @@ CAPS = {
     "resolve-signs": ("order", 50000),
     "modcheck": ("order", 50000),
     "fermion-trace": ("level", 95),
-    "cancellation": ("level", 52),
+    "cancellation": ("level", 95),
     "spectrum": ("pp", 300),
 }
 
@@ -67,33 +68,6 @@ class CommandConfig:
     tau: Tuple[float, float] = (0.1, 0.9)
     fmt: str = "json"
     out: Optional[str] = None
-
-
-def _named(text: str) -> str:
-    """`text`, or its number of digits when it is longer than 20 characters,
-    so that an error line does not echo a long argument in full."""
-    if len(text) <= 20:
-        return text
-    return f"<{sum(c.isdigit() for c in text)} digits>"
-
-
-def _digits(n: int) -> int:
-    """The number of decimal digits of |n|, counted without str(), which
-    refuses an int of more than 4300 digits."""
-    n = abs(n)
-    d = max(1, int(n.bit_length() * 0.30103) - 1)  # not above the count
-    while n >= 10 ** d:
-        d += 1
-    return d
-
-
-def _named_number(value) -> str:
-    """`_named(str(value))` for an int or a Fraction, read off its digit
-    counts when it is too long to show."""
-    digits = _digits(value.numerator)
-    if value.denominator != 1:
-        digits += _digits(value.denominator)
-    return _named(str(value)) if digits <= 20 else f"<{digits} digits>"
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -11,7 +11,8 @@ The sign (-1)^t of a monomial depends on its fermionic part alone.  So the
 signed counts and the fermion trace build no monomials: one depth-first
 walk over the sets of distinct parts up to the top level tallies each
 distinct partition once, into the signed sum of its level, and the Verma
-counts convolve those sums with the partition counts of the bosonic parts.
+counts convolve those sums with the partition counts of the bosonic parts,
+which the part-by-part recurrence counts in integers without listing them.
 """
 
 from __future__ import annotations
@@ -181,6 +182,20 @@ def _signed_distinct_counts(max_level: int) -> List[int]:
     return counts
 
 
+def _partition_counts(max_level: int) -> List[int]:
+    """P(j), the number of partitions of j, for j = 0..max_level.
+
+    The standard recurrence (Andrews, The Theory of Partitions, ch. 1):
+    admitting parts of size m one size at a time, P[j] += P[j - m] counts
+    the partitions of j whose parts are at most m, in about max_level^2/2
+    integer additions."""
+    counts = [1] + [0] * max_level
+    for m in range(1, max_level + 1):
+        for j in range(m, max_level + 1):
+            counts[j] += counts[j - m]
+    return counts
+
+
 def signed_monomial_counts(max_level: int) -> List[int]:
     """Sum of (-1)^t over the monomials of each level 0..max_level (single
     top vector), t the number of odd generators.  Equals 1 at level 0 and
@@ -189,11 +204,13 @@ def signed_monomial_counts(max_level: int) -> List[int]:
 
     The sign depends on the fermionic part alone, so level n counts
     sum_j P(j) S(n - j), with P(j) the number of partitions of j (the
-    bosonic parts) and S the signed distinct-part sums.  Each partition is
-    enumerated once for all levels; no monomial or pair is built."""
+    bosonic parts) and S the signed distinct-part sums.  P is counted by
+    the recurrence of `_partition_counts`, no partition listed; S comes from
+    one walk that visits each distinct partition once for all levels.  No
+    monomial or pair is built."""
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    bosonic = [sum(1 for _ in _partitions(j)) for j in range(max_level + 1)]
+    bosonic = _partition_counts(max_level)
     signed = _signed_distinct_counts(max_level)
     return [sum(bosonic[j] * signed[n - j] for j in range(n + 1))
             for n in range(max_level + 1)]
@@ -237,8 +254,10 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     top_trace = 2 * psi0_square  # v and vbar
     levels = [(n, top_trace * count)
               for n, count in enumerate(_signed_distinct_counts(max_level))]
-    series = FracPowerSeries.from_terms(
-        {FERMION_PREFACTOR_EXPONENT + n: tr for n, tr in levels},
-        truncation=FERMION_PREFACTOR_EXPONENT + max_level + 1,
+    # level n sits at the exponent (offset + n * grid) / grid
+    offset, grid = FERMION_PREFACTOR_EXPONENT.as_integer_ratio()
+    series = FracPowerSeries(
+        grid, FERMION_PREFACTOR_EXPONENT + max_level + 1,
+        {offset + n * grid: tr for n, tr in levels},
     )
     return GradedTraceReport(FERMION_PREFACTOR_EXPONENT, tuple(levels), series)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConstraintError
+from .errors import ConstraintError, _named_number
 
 __all__ = [
     "Kind",
@@ -144,11 +144,14 @@ class SpectrumEntry:
 
 
 def central_charge(p: int, pp: int) -> Fraction:
-    return Fraction(3, 2) * (1 - Fraction(2 * (pp - p) ** 2, p * pp))
+    """c = (3/2)(1 - 2(p'-p)^2/(pp')), as one Fraction of integers."""
+    return Fraction(3 * (p * pp - 2 * (pp - p) ** 2), 2 * p * pp)
 
 
 def conformal_weight(p: int, pp: int, r: int, s: int) -> Fraction:
-    return Fraction((r * pp - s * p) ** 2 - (pp - p) ** 2, 8 * p * pp) + Fraction(1, 16)
+    """h = ((rp' - sp)^2 - (p'-p)^2)/(8pp') + 1/16, as one Fraction of
+    integers."""
+    return Fraction(2 * ((r * pp - s * p) ** 2 - (pp - p) ** 2) + p * pp, 16 * p * pp)
 
 
 def minimal_model_spectrum(p: int, pp: int) -> List[SpectrumEntry]:
@@ -156,30 +159,30 @@ def minimal_model_spectrum(p: int, pp: int) -> List[SpectrumEntry]:
 
     Entries with equal (c, h) (the (r, s) <-> (p-r, p'-s) reflection) are
     deduplicated; the first (r, s) in lexicographic order is kept and entries
-    come back sorted by h descending.
+    come back sorted by h descending.  c is fixed by the pair and h rises
+    with the integer (rp' - sp)^2, so both the deduplication and the order
+    are taken on that integer, and an entry is built only for each kept
+    (r, s).
     """
     if p < 1 or pp < 1:
         raise ConstraintError("p and p' must be positive")
     if not p < pp:
-        raise ConstraintError(f"admissibility requires p < p' (got p={p}, p'={pp})")
+        raise ConstraintError(f"admissibility requires p < p' "
+                              f"(got p={_named_number(p)}, p'={_named_number(pp)})")
     if (pp - p) % 2 != 0:
-        raise ConstraintError(f"admissibility requires p' - p even (got p' - p = {pp - p})")
-    if gcd((pp - p) // 2, p) != 1:
-        raise ConstraintError(f"admissibility requires gcd((p'-p)/2, p) = 1 (got {gcd((pp - p) // 2, p)})")
-    c = central_charge(p, pp)
-    entries: List[SpectrumEntry] = []
-    seen = set()
+        raise ConstraintError(f"admissibility requires p' - p even "
+                              f"(got p' - p = {_named_number(pp - p)})")
+    common = gcd((pp - p) // 2, p)
+    if common != 1:
+        raise ConstraintError(f"admissibility requires gcd((p'-p)/2, p) = 1 "
+                              f"(got {_named_number(common)})")
+    kept: Dict[int, Tuple[int, int]] = {}
     for r in range(1, p):
-        for s in range(1, pp):
-            if (r - s) % 2 == 0:
-                continue
-            h = conformal_weight(p, pp, r, s)
-            if (c, h) in seen:
-                continue
-            seen.add((c, h))
-            entries.append(SpectrumEntry(p, pp, r, s, c, h))
-    entries.sort(key=lambda e: e.h, reverse=True)
-    return entries
+        for s in range(1 + r % 2, pp, 2):  # r - s odd
+            kept.setdefault((r * pp - s * p) ** 2, (r, s))
+    c = central_charge(p, pp)
+    return [SpectrumEntry(p, pp, r, s, c, conformal_weight(p, pp, r, s))
+            for _, (r, s) in sorted(kept.items(), reverse=True)]
 
 
 def g0_square_value(c: Fraction, h: Fraction) -> Fraction:

@@ -282,6 +282,16 @@ def test_a_value_past_int_string_conversion_is_named_by_its_digits(capsys):
         "error: --order must be an integer >= 1 for this command (got <10002 digits>)\n"))
 
 
+def test_spectrum_names_a_long_p_by_its_digits(capsys):
+    # run() takes values the parser refuses; the admissibility message names
+    # p by its digit count, and the command exits 2.
+    assert run(CommandConfig("spectrum", p=10 ** 5000, pp=8)) == 2
+    assert run(CommandConfig("spectrum", p=9, pp=8)) == 2
+    assert capsys.readouterr() == ("", (
+        "error: admissibility requires p < p' (got p=<5001 digits>, p'=8)\n"
+        "error: admissibility requires p < p' (got p=9, p'=8)\n"))
+
+
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 21, 400, 4300, 4301, 5000])
 def test_digit_count_at_each_power_of_ten(k):
     n = 10 ** k
@@ -457,7 +467,7 @@ def test_cost_caps_are_real_limits(capsys):
     # admissible pair past the spectrum cap.
     assert main(["jacobi-verify", "--order", "50000"]) == 0
     assert main(["bgg", "--order", "400001/8"]) == 2
-    assert main(["cancellation", "--level", "53"]) == 2
+    assert main(["cancellation", "--level", "96"]) == 2
     assert main(["spectrum", "--p", "299", "--pp", "301"]) == 2
     capsys.readouterr()
 

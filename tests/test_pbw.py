@@ -5,6 +5,7 @@ import pytest
 from oddtrace.pbw import (
     FERMION_PREFACTOR_EXPONENT,
     _distinct_partitions,
+    _partition_counts,
     _partition_pairs,
     _partitions,
     _signed_distinct_counts,
@@ -15,7 +16,7 @@ from oddtrace.pbw import (
     signed_monomial_count,
     signed_monomial_counts,
 )
-from oddtrace.qseries import eta, euler_product
+from oddtrace.qseries import FracPowerSeries, eta, euler_product
 
 F = Fraction
 
@@ -224,6 +225,13 @@ def test_signed_distinct_counts_match_the_per_level_tally():
     assert per_level[:ORDER] == [SIGNED.get(m, 0) for m in range(ORDER)]
 
 
+def test_partition_counts_match_the_enumeration():
+    # The part-by-part recurrence against ZS1, level by level.
+    listed = [sum(1 for _ in _partitions(j)) for j in range(41)]
+    for n in range(41):
+        assert _partition_counts(n) == listed[:n + 1]
+
+
 def test_signed_count_matches_product_identity():
     # sum_m (-1)^t q^level = prod(1-q^n) * prod 1/(1-q^n) = 1
     ident = _mul_trunc(SIGNED, P_ALL, 21)
@@ -280,3 +288,16 @@ def test_fermion_trace_series_assembles_levels():
     report = fermion_odd_trace(8)
     for n, tr in report.levels:
         assert report.series.coeff(F(1, 24) + n) == tr
+
+
+def test_fermion_trace_series_has_the_stored_form_of_from_terms():
+    # The series built on integer keys against the build from Fraction
+    # exponents: the same grid, truncation, scale and numerators.
+    for n in range(61):
+        report = fermion_odd_trace(n)
+        built = FracPowerSeries.from_terms(
+            {FERMION_PREFACTOR_EXPONENT + m: tr for m, tr in report.levels},
+            truncation=FERMION_PREFACTOR_EXPONENT + n + 1)
+        series = report.series
+        assert (series.denominator, series.truncation, series._scale, series._nums) == \
+            (built.denominator, built.truncation, built._scale, built._nums)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -150,6 +151,60 @@ def test_spectrum_entries_recompute():
             assert e.c == central_charge(p, pp)
             assert e.h == conformal_weight(p, pp, e.r, e.s)
             assert 1 <= e.r <= p - 1 and 1 <= e.s <= pp - 1 and (e.r - e.s) % 2 == 1
+
+
+def fraction_central_charge(p, pp):
+    return Fraction(3, 2) * (1 - Fraction(2 * (pp - p) ** 2, p * pp))
+
+
+def fraction_conformal_weight(p, pp, r, s):
+    return Fraction((r * pp - s * p) ** 2 - (pp - p) ** 2, 8 * p * pp) + Fraction(1, 16)
+
+
+def fraction_spectrum(p, pp):
+    """The spectrum of record: deduplicated on (c, h) and sorted by h, in
+    Fractions, as (r, s, c, h) rows."""
+    c = fraction_central_charge(p, pp)
+    rows, seen = [], set()
+    for r in range(1, p):
+        for s in range(1, pp):
+            if (r - s) % 2 == 0:
+                continue
+            h = fraction_conformal_weight(p, pp, r, s)
+            if (c, h) in seen:
+                continue
+            seen.add((c, h))
+            rows.append((r, s, c, h))
+    rows.sort(key=lambda row: row[3], reverse=True)
+    return rows
+
+
+def test_central_charge_and_weight_match_the_fraction_formulas():
+    for p in range(1, 9):
+        for pp in range(1, 13):
+            assert central_charge(p, pp) == fraction_central_charge(p, pp)
+            for r in range(-3, p + 4):
+                for s in range(-3, pp + 4):
+                    assert conformal_weight(p, pp, r, s) == \
+                        fraction_conformal_weight(p, pp, r, s)
+
+
+def test_spectrum_matches_the_fraction_spectrum():
+    pairs = [(p, pp) for pp in range(2, 41) for p in range(1, pp)
+             if (pp - p) % 2 == 0 and gcd((pp - p) // 2, p) == 1]
+    for p, pp in pairs:
+        entries = minimal_model_spectrum(p, pp)
+        assert [(e.r, e.s, e.c, e.h) for e in entries] == fraction_spectrum(p, pp)
+        assert all((e.p, e.pp) == (p, pp) for e in entries)
+
+
+def test_spectrum_names_a_long_value_by_its_digits():
+    # str() converts no int of more than 4300 digits; the p < p' message
+    # is pinned through the command in test_cli.py.
+    with pytest.raises(ValueError, match=r"\(got p' - p = <5001 digits>\)$"):
+        minimal_model_spectrum(2, 10 ** 5000 + 3)
+    with pytest.raises(ValueError, match=r"\(got <4999 digits>\)$"):
+        minimal_model_spectrum(10 ** 4998 * 6, 10 ** 4998 * 10)
 
 
 # ---------------------------------------------------------------------------
