@@ -43,8 +43,9 @@ INTERNAL_ERROR = 3
 # 1 s there (Python 3.11, shared 2-core host).  The --order commands take
 # 0.4-0.9 s at 50000, about 0.4 s of it in euler_product's order^1.5
 # additions; fermion-trace and cancellation walk every set of distinct parts
-# up to the level, a count that grows exponentially with it, and spectrum
-# lists about p p'/2 weights, with p < p'.
+# up to the level, a count that grows exponentially with it (about 9% a
+# level), and take about 0.75-1 s at 108; spectrum lists about p p'/2
+# weights, with p < p'.
 CAPS = {
     "eta": ("order", 50000),
     "eta3": ("order", 50000),
@@ -52,8 +53,8 @@ CAPS = {
     "bgg": ("order", 50000),
     "resolve-signs": ("order", 50000),
     "modcheck": ("order", 50000),
-    "fermion-trace": ("level", 95),
-    "cancellation": ("level", 95),
+    "fermion-trace": ("level", 108),
+    "cancellation": ("level", 108),
     "spectrum": ("pp", 300),
 }
 

@@ -10,7 +10,8 @@ q^{h - c/24} prefactor.
 The sign (-1)^t of a monomial depends on its fermionic part alone.  So the
 signed counts and the fermion trace build no monomials: one depth-first
 walk over the sets of distinct parts up to the top level tallies each
-distinct partition once, into the signed sum of its level, and the Verma
+distinct partition once, into the signed sum of its level (a set that
+cannot be extended is tallied in place, never pushed), and the Verma
 counts convolve those sums with the partition counts of the bosonic parts,
 which the part-by-part recurrence counts in integers without listing them.
 """
@@ -171,14 +172,21 @@ def _signed_distinct_counts(max_level: int) -> List[int]:
     One depth-first walk over every set of distinct parts of weight at most
     max_level, on a stack of (weight, sign, least next part): each node is
     one partition, tallied once into the count of its weight, and its
-    children add one part larger than all of its own."""
+    children add one part larger than all of its own.  With room =
+    max_level - weight, a child of part p has children of its own only when
+    2p + 1 <= room; only those are pushed, and every other child is a leaf,
+    tallied in place."""
     counts = [0] * (max_level + 1)
     stack = [(0, 1, 1)]
     while stack:
         weight, sign, low = stack.pop()
         counts[weight] += sign
-        for part in range(low, max_level - weight + 1):
+        room = max_level - weight
+        inner = max(low, (room + 1) // 2)  # the least part of a leaf child
+        for part in range(low, inner):
             stack.append((weight + part, -sign, part + 1))
+        for part in range(inner, room + 1):
+            counts[weight + part] -= sign
     return counts
 
 

@@ -18,11 +18,13 @@ homogeneous basis proves it for all elements: `supersymmetry_check` does so
 on the basis of matrix units, and returns the dimension of the functionals
 that vanish on all those supercommutators, from one integer elimination
 with the content divided out.  Dimension 1 means phi is the only
-supersymmetric functional, up to a scalar.  It indexes each basis element
-by its rows once, forms ab and ba once for each unordered pair, builds both
-[a, b] and [b, a] from them, and tallies the brackets by their entries: phi
-runs, and a row is eliminated, once per distinct bracket, and a violation
-counts once per ordered pair.
+supersymmetric functional, up to a scalar.  It indexes the entries of the
+whole basis by row once and forms ab only for the pairs with a nonzero
+product.  A pair with ab = ba = 0 counts into the zero bracket unformed;
+every other unordered pair forms [a, b] once, and [b, a] is [a, b] when
+both are odd and -[a, b] otherwise.  The brackets are tallied by their
+entries: phi runs, and a row is eliminated, once per distinct bracket, and
+a violation counts once per ordered pair.
 """
 
 from __future__ import annotations
@@ -186,26 +188,56 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
     phi([a, b]) != 0, and the dimension of the linear functionals that
     vanish on every [a, b].
 
-    Each element is indexed by its rows once.  For each unordered pair the
-    products ab and ba are formed once and give both [a, b] and [b, a].
-    The brackets are tallied by their entries, so phi is evaluated and a row
-    eliminated once per distinct bracket; equal rows cannot change the
-    rank."""
+    The basis entries are indexed by their rows once, and each a is walked
+    against that index, so ab is formed for exactly the b with a nonzero
+    product.  A pair with ab = ba = 0 counts into the zero bracket with no
+    bracket formed.  Every other unordered pair forms [a, b] once, and
+    [b, a] = -(-1)^{p(a)p(b)} [a, b] is tallied from it.  The brackets are
+    tallied by their entries, so phi is evaluated and a row eliminated once
+    per distinct bracket; equal rows cannot change the rank."""
+    if not basis:
+        return 0, 0, 0
     parities = [a.parity for a in basis]
+    d0, d1 = basis[0].d0, basis[0].d1
     for b in basis:
         _same_size(basis[0], b)
-    rows = [_rows(a) for a in basis]
+    # Inside the loop entry (i, j) is keyed i * d + j, which sorts as (i, j).
+    d = d0 + d1
+    by_row: Dict[int, list] = {}
+    for index, b in enumerate(basis):
+        for (k, j), v in b.entries.items():
+            by_row.setdefault(k, []).append((index, j, v))
+    products: List[Dict[int, dict]] = []  # products[a][b] = ab
+    for a in basis:
+        by_b: Dict[int, dict] = {}
+        for (i, k), u in a.entries.items():
+            row = i * d
+            for index, j, v in by_row.get(k, ()):
+                out = by_b.setdefault(index, {})
+                out[row + j] = out.get(row + j, 0) + u * v
+        products.append(by_b)
+    # A pair is met from each side with a nonzero product and bracketed at
+    # the first; a pair never met brackets to zero.
     tally: Dict[frozenset, int] = {}
-    for i, a in enumerate(basis):
-        for j in range(i, len(basis)):
+    zero_pairs = len(basis) ** 2
+    for i, by_b in enumerate(products):
+        for j, ab in by_b.items():
+            if j < i and i in products[j]:
+                continue
             sign = -1 if parities[i] & parities[j] else 1
-            ab, ba = _product(a, rows[j]), _product(basis[j], rows[i])
-            for x, y in [(ab, ba)] if i == j else [(ab, ba), (ba, ab)]:
-                key = frozenset(_bracket(x, y, sign).items())
+            c = _bracket(ab, products[j].get(i, {}), sign)
+            key = frozenset(c.items())
+            tally[key] = tally.get(key, 0) + 1
+            zero_pairs -= 1
+            if i != j:  # [b, a] = -(-1)^{p(a)p(b)} [a, b]
+                key = frozenset((k, -sign * v) for k, v in c.items())
                 tally[key] = tally.get(key, 0) + 1
-    violations = sum(count for key, count in tally.items()
-                     if phi(Supermatrix(basis[0].d0, basis[0].d1, dict(key))))
-    rank = len(_echelon(dict(key) for key in tally))
+                zero_pairs -= 1
+    if zero_pairs:
+        tally[frozenset()] = tally.get(frozenset(), 0) + zero_pairs
+    brackets = {key: Supermatrix(d0, d1, {divmod(k, d): v for k, v in key}) for key in tally}
+    violations = sum(count for key, count in tally.items() if phi(brackets[key]))
+    rank = len(_echelon(c.entries for c in brackets.values()))
     return sum(tally.values()), violations, len(basis) - rank
 
 

@@ -463,11 +463,12 @@ def test_cost_cap_admits_the_cap_and_refuses_one_more(monkeypatch, capsys, name)
 
 def test_cost_caps_are_real_limits(capsys):
     # The order cap runs for real (about 1 s); a rational order just past it
-    # is refused, as are the level after the cancellation cap and the first
+    # is refused, as are the level after each level cap and the first
     # admissible pair past the spectrum cap.
     assert main(["jacobi-verify", "--order", "50000"]) == 0
     assert main(["bgg", "--order", "400001/8"]) == 2
-    assert main(["cancellation", "--level", "96"]) == 2
+    assert main(["fermion-trace", "--level", "109"]) == 2
+    assert main(["cancellation", "--level", "109"]) == 2
     assert main(["spectrum", "--p", "299", "--pp", "301"]) == 2
     capsys.readouterr()
 

@@ -225,6 +225,26 @@ def test_signed_distinct_counts_match_the_per_level_tally():
     assert per_level[:ORDER] == [SIGNED.get(m, 0) for m in range(ORDER)]
 
 
+def pushed_signed_distinct_counts(max_level):
+    """The walk of record: every node, leaves too, pushed and popped."""
+    counts = [0] * (max_level + 1)
+    stack = [(0, 1, 1)]
+    while stack:
+        weight, sign, low = stack.pop()
+        counts[weight] += sign
+        for part in range(low, max_level - weight + 1):
+            stack.append((weight + part, -sign, part + 1))
+    return counts
+
+
+def test_signed_distinct_counts_match_the_walk_that_pushes_every_node():
+    # Leaves tallied in place against leaves pushed.  A level's count does
+    # not depend on the top level, so one reference run serves every n.
+    reference = pushed_signed_distinct_counts(70)
+    for n in range(71):
+        assert _signed_distinct_counts(n) == reference[:n + 1]
+
+
 def test_partition_counts_match_the_enumeration():
     # The part-by-part recurrence against ZS1, level by level.
     listed = [sum(1 for _ in _partitions(j)) for j in range(41)]

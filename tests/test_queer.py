@@ -331,6 +331,11 @@ def test_supersymmetric_needs_homogeneous_elements_of_one_algebra():
         supercommutator(Supermatrix.theta(1), Supermatrix.identity(1, 0))
 
 
+def test_supersymmetry_check_on_the_empty_basis():
+    for basis in ([], queer_basis(0)):
+        assert supersymmetry_check(basis, odd_trace) == (0, 0, 0)
+
+
 def test_supersymmetry_check_needs_one_algebra():
     with pytest.raises(ValueError, match=r"size mismatch: \(1\|1\) vs \(2\|2\)"):
         supersymmetry_check([Supermatrix.theta(1), Supermatrix.theta(2)], odd_trace)
@@ -438,9 +443,12 @@ def plain_trace(c):
     return sum((v for (i, j), v in c.entries.items() if i == j), F(0))
 
 
+# The bracket entries are keyed on i * (d0 + d1) + j inside the check, so
+# unequal blocks are in the reference's cases too.
 @pytest.mark.parametrize("basis", [
-    queer_basis(1), queer_basis(2), queer_basis(3), end_basis(2, 2), mixed_basis(3, seed=3),
-], ids=["Q_1", "Q_2", "Q_3", "End(2|2)", "mixed Q_3"])
+    queer_basis(1), queer_basis(2), queer_basis(3), queer_basis(4), end_basis(2, 2),
+    end_basis(3, 1), end_basis(1, 2), mixed_basis(3, seed=3),
+], ids=["Q_1", "Q_2", "Q_3", "Q_4", "End(2|2)", "End(3|1)", "End(1|2)", "mixed Q_3"])
 @pytest.mark.parametrize("phi", [odd_trace, even_trace, supertrace, plain_trace])
 def test_supersymmetry_check_matches_the_pairwise_reference(basis, phi):
     assert supersymmetry_check(basis, phi) == reference_supersymmetry_check(basis, phi)
