@@ -4,8 +4,11 @@ types; no other module renders reports.
 
 Reports are byte-stable for identical invocations: JSON output uses sorted
 keys and exact rationals as [numerator, denominator] pairs (`_q`); floats
-appear only in `modcheck` rows.  Exit codes: 0 success/pass, 1 verification
-failure, 2 usage or constraint error, or a report that cannot be written.
+appear only in `modcheck` rows.  JSON reports come from this module's own
+renderer (`_render_json`), byte-identical to
+`json.dumps(payload, sort_keys=True, indent=2)`.  Exit codes: 0
+success/pass, 1 verification failure, 2 usage or constraint error, or a
+report that cannot be written.
 `main` lets any other exception through, since it is a fault of the program
 and not of its input; the `oddtrace` command (`console`) prints its
 traceback and exits 3.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import stat
@@ -24,6 +26,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import List, Mapping, Optional, Tuple
 
 from . import characters, pbw, queer, superalgebras
@@ -71,6 +74,9 @@ class CommandConfig:
     out: Optional[str] = None
 
 
+FORMATS = ("json", "text")
+
+
 def _parse_rational(text: str) -> Fraction:
     # N[/D] only: Fraction also reads floats, and 1e5000 has no bounded cost.
     if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
@@ -98,7 +104,7 @@ def _parse_tau(text: str) -> Tuple[float, float]:
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a pair of reals: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a pair of reals: {_named(repr(text))}")
 
 
 def _int_order(config: CommandConfig) -> int:
@@ -302,9 +308,58 @@ def _render_text(obj, indent: int = 0) -> list:
     return lines
 
 
+_INT_ONLY = {int}
+
+
+def _render_json(obj, pad: str) -> str:
+    """`obj` as `json.dumps(obj, sort_keys=True, indent=2)` writes it, with
+    `pad` before each line but the first.  `json` runs its pure-Python
+    encoder whenever it indents; this builds each container with one join.
+    Types are matched exactly, so that a bool is never written as an int,
+    and any type or dict key that `json` would convert or refuse raises
+    TypeError."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == _INT_ONLY:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_render_json(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # encode_basestring_ascii refuses a key that is not a str
+        items = [f"{encode_basestring_ascii(key)}: {_render_json(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float:
+        if obj != obj:
+            return "NaN"
+        if obj == INFINITY:
+            return "Infinity"
+        if obj == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"a report cannot hold {kind.__name__}")
+
+
 def render_report(payload, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _render_json(payload, "") + "\n"
     return "\n".join(_render_text(payload)) + "\n"
 
 
@@ -372,6 +427,9 @@ def run(config: CommandConfig) -> int:
     if handler is None:
         print(f"error: unknown command {config.command!r}", file=sys.stderr)
         return 2
+    if config.fmt not in FORMATS:
+        print(f"error: unknown format {config.fmt!r}", file=sys.stderr)
+        return 2
     try:
         _check_cap(config)
         code, payload = handler(config)
@@ -426,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=_parse_int)
     parser.add_argument("--pp", type=_parse_int, help="p' of the minimal model")
     parser.add_argument("--tau", type=_parse_tau, metavar="RE,IM")
-    parser.add_argument("--format", dest="fmt", choices=("json", "text"))
+    parser.add_argument("--format", dest="fmt", choices=FORMATS)
     parser.add_argument("--out", help="write the report to a file")
     return parser
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import stat
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddtrace import characters, cli, modcheck, qseries, queer, superalgebras
 from oddtrace.cli import COMMANDS, CommandConfig, build_parser, main, run
@@ -303,6 +306,7 @@ def test_digit_count_at_each_power_of_ten(k):
     ("--order", "1e" + "9" * 400, "<401 digits>"),
     ("--level", "9" * 5000, "<5000 digits>"),
     ("--pp", "1_" + "0" * 30, "<31 digits>"),
+    ("--tau", "1" * 60 + ",x", "<60 digits>"),
 ])
 def test_parse_error_names_a_long_value_by_its_digits(capsys, flag, value, shown):
     with pytest.raises(SystemExit) as exc:
@@ -700,6 +704,59 @@ def test_failing_report_bytes_are_pinned(capsys, monkeypatch, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _json_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text())
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda items: st.one_of(st.lists(items), st.lists(items).map(tuple),
+                            st.lists(st.integers()),
+                            st.dictionaries(st.text(), items)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_payloads)
+@example({"": [], "\u00e9\x00\u2028\U0001f600": {}, "a": [[1, -2], (3, True)]})
+@example([False, 1, 0, True, None, -0.0, 1e300, 5e-324])
+def test_json_renderer_writes_the_bytes_of_json_dumps(payload):
+    assert cli.render_report(payload, "json") == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {1: 0}, {"a": {True: 0}}, {"a": F(1, 2)}, [F(1, 2)], [{1, 2}], {"a": [0, frozenset()]},
+])
+def test_json_renderer_refuses_what_json_would_convert_or_refuse(payload):
+    with pytest.raises(TypeError):
+        cli.render_report(payload, "json")
+
+
+def test_real_payloads_render_the_bytes_of_json_dumps(monkeypatch):
+    # Every command at its defaults, the 21 admissible spectrum pairs that
+    # the brute-force benchmark renders, and modcheck at a negative Re tau.
+    pairs = [(p, pp) for p in range(2, 8) for pp in range(p + 1, 17)
+             if (pp - p) % 2 == 0 and math.gcd((pp - p) // 2, p) == 1]
+    assert len(pairs) == 21
+    configs = [CommandConfig(name) for name in sorted(COMMANDS)]
+    configs += [CommandConfig("spectrum", p=p, pp=pp) for p, pp in pairs]
+    configs.append(CommandConfig("modcheck", tau=(-0.3, 0.9)))
+    for config in configs:
+        _, payload = COMMANDS[config.command](config)
+        assert cli.render_report(payload, "json") == _json_dumps(payload), config
+    real = characters._resolution_terms
+    monkeypatch.setattr(characters, "_resolution_terms",
+                        lambda order: [(k, e, t * 7) for k, e, t in real(order)])
+    code, payload = COMMANDS["resolve-signs"](CommandConfig("resolve-signs"))
+    assert code == 1 and list(payload) == ["error"]
+    assert cli.render_report(payload, "json") == _json_dumps(payload)
+
+
 def test_json_rationals_in_lowest_terms(capsys):
     _, out = _capture(capsys, ["eta", "--order", "15"])
     data = json.loads(out)
@@ -714,3 +771,12 @@ def test_run_accepts_config_directly(capsys):
     assert json.loads(out) == [{"p": 2, "pp": 4, "r": 1, "s": 2, "c": [0, 1], "h": [0, 1]}]
     assert run(CommandConfig(command="nope")) == 2
     assert capsys.readouterr() == ("", "error: unknown command 'nope'\n")
+
+
+def test_run_refuses_an_unknown_format(capsys, monkeypatch):
+    def handler(config):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(COMMANDS, "spectrum", handler)
+    assert run(CommandConfig("spectrum", p=2, pp=4, fmt="yaml")) == 2
+    assert capsys.readouterr() == ("", "error: unknown format 'yaml'\n")
