@@ -9,6 +9,9 @@ renderer (`_render_json`), byte-identical to
 `json.dumps(payload, sort_keys=True, indent=2)`.  Exit codes: 0
 success/pass, 1 verification failure, 2 usage or constraint error, or a
 report that cannot be written.
+Each command imports the library modules it runs when it runs: importing
+this module loads only `errors`, and a command loads no module it does not
+run.
 `main` lets any other exception through, since it is a fault of the program
 and not of its input; the `oddtrace` command (`console`) prints its
 traceback and exits 3.
@@ -27,12 +30,13 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
-from typing import List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
-from . import characters, pbw, queer, superalgebras
 from .errors import ConstraintError, _digits, _named, _named_number
-from .modcheck import ModularResidual, TauPoint, check_S, check_T
-from .qseries import FracPowerSeries, eta, euler_product
+
+if TYPE_CHECKING:
+    from .characters import VerificationReport
+    from .modcheck import ModularResidual, TauPoint
 
 __all__ = ["CommandConfig", "run", "main", "console", "COMMANDS", "CAPS"]
 
@@ -118,7 +122,7 @@ def _q(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
-def _verification(report: characters.VerificationReport) -> dict:
+def _verification(report: VerificationReport) -> dict:
     """The payload of one series comparison."""
     disc = report.first_discrepancy
     if disc is not None:
@@ -146,22 +150,26 @@ def _residual_row(series: str, tau: TauPoint, res: ModularResidual, passed: bool
 
 def _cmd_eta(config):
     """q-expansion of the Dedekind eta function"""
-    return 0, eta(_int_order(config)).to_json_dict()
+    from . import qseries
+    return 0, qseries.eta(_int_order(config)).to_json_dict()
 
 
 def _cmd_eta3(config):
     """q-expansion of eta cubed"""
-    return 0, (eta(_int_order(config)) ** 3).to_json_dict()
+    from . import qseries
+    return 0, (qseries.eta(_int_order(config)) ** 3).to_json_dict()
 
 
 def _cmd_jacobi_verify(config):
     """check eta^3 against q^(1/8) * sum (4n+1) q^(n(2n+1))"""
+    from . import characters
     report = characters.verify_jacobi(config.order)
     return (0 if report.passed else 1), _verification(report)
 
 
 def _cmd_fermion_trace(config):
     """brute-force fermion odd trace and its eta check"""
+    from . import characters
     trace, report = characters._fermion_route(config.level)
     payload = {
         "trace": {
@@ -176,6 +184,7 @@ def _cmd_fermion_trace(config):
 
 def _cmd_bgg(config):
     """resolution-route odd trace from the (2, 8) Kac labels, checked against eta^3/4"""
+    from . import characters
     signs, series, report = characters._bgg_route(config.order)
     payload = {
         "signs": _signs_json(signs),
@@ -187,6 +196,7 @@ def _cmd_bgg(config):
 
 def _cmd_resolve_signs(config):
     """signs of the resolution terms matched to eta^3/4"""
+    from . import characters
     try:
         signs = characters.resolve_signs(config.order)
     except characters.SignResolutionError as exc:
@@ -205,6 +215,7 @@ def _signs_json(signs: Mapping[int, int]) -> dict:
 
 def _cmd_spectrum(config):
     """N=1 minimal-model central charge and Ramond weights"""
+    from . import superalgebras
     entries = superalgebras.minimal_model_spectrum(config.p, config.pp)
     return 0, [{"p": e.p, "pp": e.pp, "r": e.r, "s": e.s, "c": _q(e.c), "h": _q(e.h)}
                for e in entries]
@@ -212,15 +223,16 @@ def _cmd_spectrum(config):
 
 def _cmd_cancellation(config):
     """signed monomial counts (must vanish above level 0)"""
+    from . import pbw, qseries
     if config.level < 1:
         raise ConstraintError("level must be at least 1")
     levels = [[n, c] for n, c in enumerate(pbw.signed_monomial_counts(config.level))]
     counts_ok = all(c == (1 if n == 0 else 0) for n, c in levels)
     # independent q-series route: prod(1-q^n) * prod(1-q^n)^{-1} = 1
-    ep = euler_product(config.level + 1)
+    ep = qseries.euler_product(config.level + 1)
     product = ep * ep.invert()
     product_ok = product.eq_to_order(
-        FracPowerSeries.one(product.truncation), product.truncation)
+        qseries.FracPowerSeries.one(product.truncation), product.truncation)
     payload = {
         "levels": levels,
         "product_identity_pass": product_ok,
@@ -231,21 +243,22 @@ def _cmd_cancellation(config):
 
 def _cmd_modcheck(config):
     """numerical S/T transformation residuals for eta and eta^3"""
+    from . import modcheck, qseries
     order = _int_order(config)
-    tau = TauPoint(*config.tau)
-    e = eta(order)
+    tau = modcheck.TauPoint(*config.tau)
+    e = qseries.eta(order)
     series = {"eta": (e, F(1, 2)), "eta^3": (e ** 3, F(3, 2))}
     rows = []
     for name in sorted(series):
         s, weight = series[name]
-        t_res = check_T(s, weight, tau)
+        t_res = modcheck.check_T(s, weight, tau)
         rows.append(_residual_row(name, tau, t_res, t_res.residual < T_TOLERANCE))
-        s_res = check_S(s, weight, tau, 1)
+        s_res = modcheck.check_S(s, weight, tau, 1)
         rows.append(_residual_row(name, tau, s_res, s_res.residual < S_TOLERANCE, 1.0))
     # elimination witness: the sign-flipped multiplier must fail the S check
     # that the right one meets (>= so that a NaN fails); where Im tau is so
     # large that S cannot tell the two apart (from about 31), the row fails
-    witness = check_S(series["eta^3"][0], F(3, 2), tau, -1)
+    witness = modcheck.check_S(series["eta^3"][0], F(3, 2), tau, -1)
     rows.append(_residual_row("eta^3", tau, witness, witness.residual >= S_TOLERANCE, -1.0))
     ok = all(row["pass"] for row in rows)
     return (0 if ok else 1), {"rows": rows, "pass": ok}
@@ -253,6 +266,7 @@ def _cmd_modcheck(config):
 
 def _cmd_queer_check(config):
     """odd trace and supertrace supersymmetric and unique, on every basis pair"""
+    from . import queer
     algebras = [(f"Q_{n}", queer.queer_basis(n), "odd trace", queer.odd_trace)
                 for n in range(1, 5)]
     algebras.append(("End(2|2)", queer.end_basis(2, 2), "supertrace", queer.supertrace))

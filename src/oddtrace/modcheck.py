@@ -94,8 +94,8 @@ def check_T(s: FracPowerSeries, weight: Fraction, tau: TauPoint) -> ModularResid
     """
     low = s.lowest()
     mu = cmath.exp(TWO_PI * 1j * float(low)) if low is not None else 1.0
-    v1, t1 = eval_series(s, TauPoint(tau.re + 1.0, tau.im))
     v0, t0 = eval_series(s, tau)
+    v1, t1 = eval_series(s, TauPoint(tau.re + 1.0, tau.im))
     return ModularResidual("T", Fraction(weight), abs(v1 - mu * v0), t1 + t0)
 
 
@@ -108,6 +108,7 @@ def check_S(s: FracPowerSeries, weight: Fraction, tau: TauPoint,
     |q| < 0.0066 at tau, but bounds nothing at -1/tau: Im(-1/tau) =
     Im tau / |tau|^2, which is 0.20 at tau = 0.1 + 5i (|q| about 0.28) and
     tends to 0 as Im tau grows, so the tail estimate there can be large.
+    Where |q| rounds to 1 at -1/tau, the refusal names -1/tau and tau.
     """
     if not (-0.5 < tau.re <= 0.5 and tau.im >= 0.8):
         raise ConstraintError(
@@ -116,7 +117,13 @@ def check_S(s: FracPowerSeries, weight: Fraction, tau: TauPoint,
     z = tau.z
     w = -1.0 / z
     factor = complex(multiplier) * cmath.exp(float(weight) * cmath.log(-1j * z))
-    v1, t1 = eval_series(s, TauPoint(w.real, w.imag))
+    image = TauPoint(w.real, w.imag)
+    try:
+        v1, t1 = eval_series(s, image)
+    except ConstraintError:
+        raise ConstraintError(
+            f"|q| rounds to 1 at -1/tau = {image.re} + {image.im}i, for tau = {tau.re} + "
+            f"{tau.im}i, where no truncated series can be evaluated") from None
     v0, t0 = eval_series(s, tau)
     residual = abs(v1 - factor * v0)
     return ModularResidual("S", Fraction(weight), residual, t1 + abs(factor) * t0)

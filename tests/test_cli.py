@@ -341,13 +341,12 @@ def test_help_lists_every_command_with_its_description(capsys):
         assert any(line.split() == [name, *description.split()] for line in lines), name
 
 
-def _fresh_process(argv):
-    """(exit code, stdout, stderr) of `python -m oddtrace.cli *argv` run in a
-    process of its own, on this checkout's package, 80 columns wide."""
+def _fresh_process(*args):
+    """(exit code, stdout, stderr) of `python *args` run in a process of its
+    own, on this checkout's package, 80 columns wide."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            "COLUMNS": "80"}
-    proc = subprocess.run([sys.executable, "-m", "oddtrace.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -362,7 +361,36 @@ def test_cached_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        assert (code, out, err) == _fresh_process(argv), argv
+        assert (code, out, err) == _fresh_process("-m", "oddtrace.cli", *argv), argv
+
+
+_CHARACTERS = ("characters", "pbw", "qseries", "superalgebras")
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import oddtrace", ()),
+    ("import oddtrace.cli", ("cli", "errors")),
+    *[(f"import oddtrace.cli; assert oddtrace.cli.main([{name!r}]) == 0",
+       ("cli", "errors", *modules)) for name, modules in [
+        ("eta", ("qseries",)),
+        ("eta3", ("qseries",)),
+        ("jacobi-verify", _CHARACTERS),
+        ("fermion-trace", _CHARACTERS),
+        ("bgg", _CHARACTERS),
+        ("resolve-signs", _CHARACTERS),
+        ("spectrum", ("superalgebras",)),
+        ("cancellation", ("pbw", "qseries", "superalgebras")),
+        ("modcheck", ("modcheck", "qseries")),
+        ("queer-check", ("queer",)),
+    ]],
+])
+def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
+    # In a fresh interpreter: the package root loads no submodule, the cli
+    # only itself and errors, and a command at its defaults what it runs.
+    code, out, err = _fresh_process("-c", f"{statement}\nimport sys\nprint(*sorted("
+                                    "m for m in sys.modules if m.startswith('oddtrace.')))")
+    assert (code, err) == (0, ""), err
+    assert out.splitlines()[-1].split() == sorted(f"oddtrace.{m}" for m in loaded)
 
 
 def _readme_examples():
@@ -447,6 +475,18 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tau, point", [
+    # check_T evaluates at tau before tau + 1, and the S refusal names -1/tau
+    ("0.1,1e-20", "tau = 0.1 + 1e-20i"),
+    ("0.1,1e308", "-1/tau = -0.0 + 1e-308i, for tau = 0.1 + 1e+308i"),
+    ("0,1e300", "-1/tau = 0.0 + 1e-300i, for tau = 0.0 + 1e+300i"),
+])
+def test_modcheck_refusal_names_the_point_evaluated(capsys, tau, point):
+    assert main(["modcheck", f"--tau={tau}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: |q| rounds to 1 at {point}, where no truncated series can be evaluated\n")
 
 
 @pytest.mark.parametrize("name", ["fermion-trace", "cancellation"])
