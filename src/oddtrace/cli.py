@@ -26,7 +26,6 @@ import re
 import stat
 import sys
 import tempfile
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
@@ -532,6 +531,7 @@ def console(argv=None) -> int:
     try:
         return main(argv)
     except Exception:
+        import traceback
         traceback.print_exc()
         return INTERNAL_ERROR
 

@@ -14,6 +14,8 @@ distinct partition once, into the signed sum of its level (a set that
 cannot be extended is tallied in place, never pushed), and the Verma
 counts convolve those sums with the partition counts of the bosonic parts,
 which the part-by-part recurrence counts in integers without listing them.
+So no command lists a partition: the monomial listings (`enumerate_*`, over
+one depth-first partition generator) exist only as reference enumerations.
 """
 
 from __future__ import annotations
@@ -73,64 +75,32 @@ class PBWMonomial:
         return len(self.fermionic)
 
 
-def _partitions(n: int) -> Iterator[Tuple[int, ...]]:
-    """Partitions of n as weakly increasing tuples, largest part first in
-    reverse-lexicographic order.
+def _partitions(n: int, distinct: bool = False) -> Iterator[Tuple[int, ...]]:
+    """Partitions of n, into distinct parts if `distinct`, as weakly
+    increasing tuples, largest part first in reverse-lexicographic order.
 
-    Algorithm ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998):
-    x[:m] holds the parts in decreasing order, x[m:] is all ones, and h is
-    the index of the last part greater than 1.
+    Depth-first over a stack of (parts, rest, top): the parts chosen so
+    far, the weight still to place and the bound on the next part, pushed
+    smallest first.  A next part equal to rest is yielded in place, never
+    pushed; a distinct next part `largest` can be completed only if
+    1 + ... + largest >= rest, so smaller ones are never pushed.
     """
     if n == 0:
         yield ()
         return
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            m += 1
-            x[h] = 1
-            h -= 1
-        else:
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[m - 1::-1])
-
-
-def _distinct_partitions(n: int) -> Iterator[Tuple[int, ...]]:
-    """Partitions of n into distinct parts, weakly increasing tuples, largest
-    part first in reverse-lexicographic order.
-
-    Depth-first over an explicit stack of (parts, rest, top): the parts
-    chosen so far, the weight still to place and the bound on the next
-    part.  A next part `largest` can be completed only if
-    1 + ... + largest >= rest, so smaller ones are never pushed.
-    """
     stack = [((), n, n)]
     while stack:
         parts, rest, top = stack.pop()
-        if rest == 0:
-            yield parts
-            continue
-        low = (isqrt(8 * rest + 1) - 1) // 2
-        if low * (low + 1) < 2 * rest:
-            low += 1
-        for largest in range(low, min(rest, top) + 1):
-            stack.append(((largest,) + parts, rest - largest, largest - 1))
+        if rest <= top:
+            yield (rest,) + parts
+            top = rest - 1
+        low = 1
+        if distinct:
+            low = (isqrt(8 * rest + 1) - 1) // 2
+            if low * (low + 1) < 2 * rest:
+                low += 1
+        for largest in range(low, top + 1):
+            stack.append(((largest,) + parts, rest - largest, largest - distinct))
 
 
 def enumerate_fermion_monomials(level: int) -> List[PBWMonomial]:
@@ -138,7 +108,7 @@ def enumerate_fermion_monomials(level: int) -> List[PBWMonomial]:
     if level < 0:
         raise ValueError("level must be nonnegative")
     return [PBWMonomial((), ferm, top)
-            for ferm in _distinct_partitions(level)
+            for ferm in _partitions(level, distinct=True)
             for top in (0, 1)]
 
 
@@ -147,7 +117,7 @@ def _partition_pairs(level: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, .
     by bosonic weight j; the distinct partitions of level - j are listed
     once per j."""
     for j in range(level + 1):
-        fermionic = list(_distinct_partitions(level - j))
+        fermionic = list(_partitions(level - j, distinct=True))
         for bos in _partitions(j):
             for ferm in fermionic:
                 yield bos, ferm

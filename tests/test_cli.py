@@ -393,6 +393,20 @@ def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
     assert out.splitlines()[-1].split() == sorted(f"oddtrace.{m}" for m in loaded)
 
 
+def test_cli_import_leaves_traceback_to_the_fault_path():
+    # Only console's fault path prints a traceback: in a fresh interpreter,
+    # importing the cli loads no traceback module, and a fault still prints
+    # one and exits 3.
+    code, out, err = _fresh_process("-c", "import sys\nbefore = set(sys.modules)\n"
+                                    "import oddtrace.cli\n"
+                                    "print('traceback' in set(sys.modules) - before)\n"
+                                    "import oddtrace.qseries\n"
+                                    "oddtrace.qseries._packed_power = None\n"
+                                    "raise SystemExit(oddtrace.cli.console(['eta3', '--order', '10']))")
+    assert (code, out) == (3, "False\n"), err
+    assert err.startswith("Traceback (most recent call last):\n"), err
+
+
 def _readme_examples():
     """The `oddtrace ...` lines of the README's command-line usage block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -4,7 +4,6 @@ import pytest
 
 from oddtrace.pbw import (
     FERMION_PREFACTOR_EXPONENT,
-    _distinct_partitions,
     _partition_counts,
     _partition_pairs,
     _partitions,
@@ -152,9 +151,13 @@ def recursive_distinct_partitions(n, max_part=None):
 
 def test_partition_generators_keep_the_order_of_record():
     for n in range(31):
-        assert list(_partitions(n)) == list(recursive_partitions(n))
+        listed = list(_partitions(n))
+        assert listed == list(recursive_partitions(n))
+        # distinct parts: the listing of all parts, keeping no repeated part
+        assert list(_partitions(n, distinct=True)) == \
+            [parts for parts in listed if len(set(parts)) == len(parts)]
     for n in range(46):
-        assert list(_distinct_partitions(n)) == list(recursive_distinct_partitions(n))
+        assert list(_partitions(n, distinct=True)) == list(recursive_distinct_partitions(n))
 
 
 def nested_ns_monomials(level, top_dim):
@@ -218,7 +221,7 @@ def test_signed_counts_match_the_pair_walk():
 def test_signed_distinct_counts_match_the_per_level_tally():
     # One walk over every set of distinct parts up to weight n against the
     # distinct partitions of each level, enumerated level by level.
-    per_level = [sum(-1 if len(ferm) & 1 else 1 for ferm in _distinct_partitions(m))
+    per_level = [sum(-1 if len(ferm) & 1 else 1 for ferm in _partitions(m, distinct=True))
                  for m in range(41)]
     for n in range(41):
         assert _signed_distinct_counts(n) == per_level[:n + 1]
@@ -246,10 +249,33 @@ def test_signed_distinct_counts_match_the_walk_that_pushes_every_node():
 
 
 def test_partition_counts_match_the_enumeration():
-    # The part-by-part recurrence against ZS1, level by level.
+    # The part-by-part recurrence against the listed partitions, level by level.
     listed = [sum(1 for _ in _partitions(j)) for j in range(41)]
     for n in range(41):
         assert _partition_counts(n) == listed[:n + 1]
+
+
+def test_no_command_lists_a_partition(monkeypatch, capsysbinary):
+    # Every command counts partitions and lists none: with both listings
+    # made to raise, each command, the brute-force ones at the benchmark's
+    # levels, prints the bytes it prints unpatched.
+    from oddtrace import cli, pbw
+
+    levels = {"fermion-trace": ["--level", "34"], "cancellation": ["--level", "24"]}
+    runs = [[name, *levels.get(name, [])] for name in cli.COMMANDS]
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+        expected.append(capsysbinary.readouterr())
+
+    def listed(*args, **kwargs):
+        raise AssertionError("a command listed partitions")
+
+    monkeypatch.setattr(pbw, "_partitions", listed)
+    monkeypatch.setattr(pbw, "_partition_pairs", listed)
+    for argv, unpatched in zip(runs, expected):
+        assert cli.main(argv) == 0, argv
+        assert capsysbinary.readouterr() == unpatched, argv
 
 
 def test_signed_count_matches_product_identity():
