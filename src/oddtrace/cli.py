@@ -47,11 +47,12 @@ INTERNAL_ERROR = 3
 
 # The largest --order, --level or --pp each command takes: each costs about
 # 1 s there (Python 3.11, shared 2-core host).  The --order commands take
-# 0.4-0.9 s at 50000, about 0.4 s of it in euler_product's order^1.5
-# additions; fermion-trace and cancellation walk every set of distinct parts
-# up to the level, a count that grows exponentially with it (about 9% a
-# level), and take about 0.75-1 s at 108; spectrum lists about p p'/2
-# weights, with p < p'.
+# 0.45-0.8 s at 50000, each in a fresh interpreter, about 0.4 s of it in
+# euler_product's order^1.5 additions and 0.07-0.09 s in eta^3;
+# fermion-trace and cancellation walk every set of distinct parts up to the
+# level, a count that grows exponentially with it (about 9% a level), and
+# take about 0.75-1 s at 108; spectrum lists about p p'/2 weights, with
+# p < p'.
 CAPS = {
     "eta": ("order", 50000),
     "eta3": ("order", 50000),

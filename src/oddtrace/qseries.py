@@ -12,12 +12,15 @@ an int or `Fraction` mapping once, and `terms`, `coeff`, `first_mismatch`
 and `to_json_dict` build reduced fractions when asked.
 
 Products and powers share one kernel, `_packed_power(a, k, b) = a**k * b`,
-by Kronecker substitution: each operand becomes one big int with one slot of
-w bits per step of its exponent lattice, so that CPython's int product does
-the convolution.  The width comes from the rigorous bound
+by Kronecker substitution: b becomes one big int of L bits, one slot of w
+bits per step of its exponent lattice, which the kernel multiplies by a k
+times mod 2^L.  The width comes from the rigorous bound
 |coeff| <= n_a^k max|a|^k max|b| plus a sign bit, so every slot holds its
-balanced digit exactly.  The cost is O(slots * w) to pack and unpack plus k
-int products of slots * w bits, whatever the number of terms.
+balanced digit exactly.  A lacunary a, with n_a^2 < L / 8, is applied as
+shifted adds: one shifted copy of the packed int per term, k n_a adds of
+L-bit ints.  Otherwise a is packed too and CPython's int product does the
+convolution: k products of L-bit ints.  Packing and unpacking cost O(L),
+whatever the number of terms.
 """
 
 from __future__ import annotations
@@ -356,22 +359,33 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
     (lowest key) plus a multiple of the step, the gcd of every key's distance
     from its operand's base; a result key is k base_a + base_b plus such a
     multiple.  Slot i holds the coefficient at that base plus i steps, for
-    the slots below the truncation, and an operand becomes the one signed int
-    sum n_i 2^(w i) of its integer numerators, w bits a slot.  The integer
-    product of two such ints packs the product of the series, so the kernel
-    multiplies the packed b by the packed a k times, reducing each product
-    mod 2^(w slots) into the balanced range, and unpacks the slots once.
+    the slots below the truncation.  b becomes one signed int of L = w slots
+    bits, sum n_i 2^(w i) over its integer numerators; multiplying it by the
+    series a and reducing mod 2^L packs the truncated product, so the kernel
+    does this k times and unpacks the slots once.
 
     A result slot sums at most n_a^k products of k numerators of a and one of
-    b, where n_a counts a's slots, so |coeff| <= n_a^k max|a|^k max|b| =: B;
-    every partial product a^j b obeys the same bound.  With w >= bit_length(B)
-    + 1 (a sign bit), each slot holds its coefficient as a balanced digit in
-    [-2^(w-1), 2^(w-1)), the packed int lies within 2^(w slots - 1) of 0, and
-    adding 2^(w-1) to every slot turns the digits into unsigned ones.  The
-    width is rounded up to 1, 2, 4 or 8 bytes, which are read in one cast, or
-    to whole bytes above that.  Cost: O(slots * w) to pack and to unpack, and
-    k products of ints of slots * w bits.
+    b, where n_a counts the terms of a that reach a result slot, so |coeff| <=
+    n_a^k max|a|^k max|b| =: B; every partial product a^j b obeys the same
+    bound.  With w >= bit_length(B) + 1 (a sign bit), each slot holds its
+    coefficient as a balanced digit in [-2^(w-1), 2^(w-1)), and adding 2^(w-1)
+    to every slot mod 2^L turns the digits into unsigned ones.  The width is
+    rounded up to 1, 2, 4 or 8 bytes, which are written and read as native
+    items, or to whole bytes above that.
+
+    Two paths multiply by a, chosen by `_lacunary` from the sizes: a is
+    lacunary when n_a^2 < w slots / 8, the width in bytes times the slots.
+    A lacunary a is applied as shifted adds, the sum over its terms
+    n q^(base_a + i step) of n (value << w i): k n_a shifted adds of an L-bit
+    int, the copies for one n summed before one multiplication by n.
+    Otherwise a is packed too, and each step is one product of L-bit ints,
+    which CPython's Karatsuba does in time about L^1.58; when b is a, the
+    base is packed once and the first product is a square.  A product
+    (k = 1) takes its operand with fewer terms as a.  Packing and unpacking
+    cost O(L).
     """
+    if k == 1 and len(b._nums) < len(a._nums):
+        a, b = b, a  # a * b = b * a, with the sparser operand as the factor
     d, anums, bnums = _aligned(a, b)
     low_a = a._low_bound()
     # An unknown contribution to x * y needs a factor at or beyond its
@@ -385,22 +399,27 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
     base = k * base_a + base_b
     slots = ((t * d).__ceil__() - 1 - base) // step + 1  # base < t * d
     reach = slots * step  # an operand's slot i reaches only result slots >= i
-    slotted_a = [((key - base_a) // step, n) for key, n in anums.items() if key - base_a < reach]
-    slotted_b = [((key - base_b) // step, n) for key, n in bnums.items() if key - base_b < reach]
-    bound = (len(slotted_a) * max(abs(n) for _, n in slotted_a)) ** k \
-        * max(abs(n) for _, n in slotted_b)
+    anums, bnums = _reaching(anums, base_a + reach), _reaching(bnums, base_b + reach)
+    bound = (len(anums) * max(map(abs, anums.values()))) ** k * max(map(abs, bnums.values()))
     width = (bound.bit_length() + 8) // 8  # bytes, with the sign bit
     if width <= 8:
         width = 1 << (width - 1).bit_length()
     bits = 8 * width * slots
-    factor, value = _pack(slotted_a, width, slots), _pack(slotted_b, width, slots)
-    for _ in range(k):
-        value = (value * factor) & ((1 << bits) - 1)
-        if value >> (bits - 1):
-            value -= 1 << bits
+    mask = (1 << bits) - 1
+    value = _pack(bnums, base_b, step, width, slots)
+    if _lacunary(len(anums), width, slots):
+        shifts = {}  # n -> the bit shifts of the terms of a with numerator n
+        for key, n in anums.items():
+            shifts.setdefault(n, []).append((key - base_a) // step * 8 * width)
+        for _ in range(k):
+            value = sum(n * sum(map(value.__lshift__, s)) for n, s in shifts.items()) & mask
+    else:
+        factor = value if b is a else _pack(anums, base_a, step, width, slots)
+        for _ in range(k):
+            value = value * factor & mask
     half = 1 << (8 * width - 1)
     size = width * slots
-    value += int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    value = (value + int.from_bytes(half.to_bytes(width, "little") * slots, "little")) & mask
     if width in _UNSIGNED:
         view = memoryview(value.to_bytes(size, sys.byteorder)).cast(_UNSIGNED[width])
         digits = view if sys.byteorder == "little" else view[::-1]
@@ -411,11 +430,34 @@ def _packed_power(a: FracPowerSeries, k: int, b: FracPowerSeries) -> FracPowerSe
     return _series(d, t, *_lowest_terms(a._scale ** k * b._scale, out))
 
 
-def _pack(slotted: List[Tuple[int, int]], width: int, slots: int) -> int:
-    """sum n 2^(8 width i) over the (slot i, n) pairs, |n| < 2^(8 width)."""
+def _lacunary(terms: int, width: int, slots: int) -> bool:
+    """Whether a factor of `terms` terms multiplies a packed int of `slots`
+    slots of `width` bytes as shifted adds rather than as a product.  On
+    CPython 3.11 the two break even at terms^2 = width * slots up to about
+    1 kB; above that shifted adds win up to 4-8 times that terms^2 at 16-64
+    kB.  So the rule gives up some speed at large sizes; where it picks
+    shifted adds, they measured no slower than the product."""
+    return terms * terms < width * slots
+
+
+def _reaching(nums: Dict[int, int], top: int) -> Dict[int, int]:
+    """nums less its keys at or beyond top, as it stands if it has none."""
+    return nums if max(nums) < top else {key: n for key, n in nums.items() if key < top}
+
+
+def _pack(nums: Dict[int, int], base: int, step: int, width: int, slots: int) -> int:
+    """sum n 2^(8 width i) over the terms n at keys base + i step, i < slots,
+    each |n| < 2^(8 width)."""
     pos, neg = bytearray(width * slots), bytearray(width * slots)
-    for i, n in slotted:
-        (pos if n > 0 else neg)[i * width:(i + 1) * width] = abs(n).to_bytes(width, "little")
+    if width in _UNSIGNED:  # one native item a slot, reversed if big-endian
+        order = 1 if sys.byteorder == "little" else -1
+        pv, nv = (memoryview(x).cast(_UNSIGNED[width])[::order] for x in (pos, neg))
+        for key, n in nums.items():
+            (pv if n > 0 else nv)[(key - base) // step] = abs(n)
+        return int.from_bytes(pos, sys.byteorder) - int.from_bytes(neg, sys.byteorder)
+    for key, n in nums.items():
+        o = (key - base) // step * width
+        (pos if n > 0 else neg)[o:o + width] = abs(n).to_bytes(width, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 

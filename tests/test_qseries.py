@@ -2,6 +2,7 @@ import json
 import time
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -528,18 +529,49 @@ def test_power_equals_repeated_product(a, k):
     assert power == repeated
 
 
+@pytest.mark.parametrize("shifted", [True, False])
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(a=packed_operand(), b=packed_operand(), k=st.integers(2, 5))
+def test_each_kernel_path_matches_the_oracle(shifted, a, b, k):
+    # The path is forced, so that every operand shape goes through shifted
+    # adds and through the packed product alike.
+    with mock.patch.object(qseries, "_lacunary", lambda terms, width, slots: shifted):
+        t, expected = oracle_product(a, b)
+        prod = a * b
+        assert prod.truncation == t
+        assert prod.denominator == lcm(a.denominator, b.denominator)
+        assert dict(prod.terms()) == expected
+        repeated = a
+        for _ in range(k - 1):
+            repeated = repeated * a
+        power = a ** k
+    assert power.truncation == repeated.truncation
+    assert power.denominator == repeated.denominator
+    assert power == repeated
+
+
+def _recording_paths(monkeypatch):
+    """Patch the kernel's path choice to log (terms, width, shifted) per
+    choice, unchanged; return the log."""
+    log = []
+    lacunary = qseries._lacunary
+
+    def recording(terms, width, slots):
+        log.append((terms, width, lacunary(terms, width, slots)))
+        return log[-1][2]
+
+    monkeypatch.setattr(qseries, "_lacunary", recording)
+    return log
+
+
 def test_products_at_the_width_bound(monkeypatch):
     # Each coefficient below equals the kernel's bound n_a^k max|a|^k max|b|,
     # so a slot narrower than its bit length plus a sign bit misreads it; the
-    # lengths 1..140 reach slots of 1, 2, 4 and 8 bytes and wider ones.
-    widths = set()
-    pack = qseries._pack
-
-    def recording(slotted, width, slots):
-        widths.add(width)
-        return pack(slotted, width, slots)
-
-    monkeypatch.setattr(qseries, "_pack", recording)
+    # lengths 1..140 reach slots of 1, 2, 4 and 8 bytes and wider ones on each
+    # path.  Series of one or two terms take shifted adds.  The 40 equal
+    # terms of `flat` take the packed product, and the top coefficient of
+    # their square is the bound, 40 c^2.
+    log = _recording_paths(monkeypatch)
     for bits in range(1, 141):
         for c in (2 ** bits - 1, -(2 ** bits - 1), -(2 ** bits)):
             mono = FracPowerSeries(1, 10, {1: c})
@@ -550,12 +582,19 @@ def test_products_at_the_width_bound(monkeypatch):
             assert dict((mono ** 3).terms()) == {F(3): F(c) ** 3}
             assert dict((pair ** 2).terms()) == {F(-1): F(c) ** 2, F(0): 2 * F(c) ** 2,
                                                 F(1): F(c) ** 2}
-    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+            flat, twin = (FracPowerSeries(1, 40, dict.fromkeys(range(40), c)) for _ in "ab")
+            square = {F(i): (i + 1) * F(c) ** 2 for i in range(40)}
+            assert dict((flat * twin).terms()) == square
+            assert dict((flat ** 2).terms()) == square
+    for shifted in (True, False):
+        widths = {width for _, width, s in log if s == shifted}
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
 
 
-def test_wide_sparse_pair():
-    # Two 2-term series whose keys have gcd 1 span about 2 * 10^5 slots of one
-    # byte: the kernel's cost is set by the slots, not the terms.
+def test_wide_sparse_pair(monkeypatch):
+    # Two 2-term series whose keys have gcd 1 span 3 * 10^5 slots of one
+    # byte: the kernel applies the factor as two shifted adds.
+    log = _recording_paths(monkeypatch)
     a = FracPowerSeries(1, 300000, {0: 1, 100000: 1})
     b = FracPowerSeries(1, 300000, {0: 1, 100001: -1})
     start = time.perf_counter()
@@ -563,7 +602,39 @@ def test_wide_sparse_pair():
     elapsed = time.perf_counter() - start
     assert dict(prod.terms()) == {F(0): 1, F(100000): 1, F(100001): -1, F(200001): -1}
     assert prod.truncation == 300000
+    assert log == [(2, 1, True)]
     assert elapsed < 2.0
+
+
+def test_power_packs_its_base_once(monkeypatch):
+    # eta(60) ** 3 takes the packed product: its 13 terms against 60 slots
+    # of 2 bytes.  The base is packed once and is both operands of a square.
+    e = eta(60)
+    expected = e * e * e
+    log = _recording_paths(monkeypatch)
+    packed = []
+    pack = qseries._pack
+
+    def counting(nums, base, step, width, slots):
+        packed.append(len(nums))
+        return pack(nums, base, step, width, slots)
+
+    monkeypatch.setattr(qseries, "_pack", counting)
+    assert e ** 3 == expected
+    assert log == [(13, 2, False)]
+    assert packed == [13]
+
+
+def test_lacunary_factor_on_the_right_is_shifted(monkeypatch):
+    # dense * eta: the product takes eta, the operand with fewer terms, as
+    # the factor of shifted adds, on whichever side it stands.
+    e = eta(300)
+    dense = e.invert()
+    log = _recording_paths(monkeypatch)
+    prod = dense * e
+    assert [(terms, s) for terms, _, s in log] == [(len(e.support()), True)]
+    assert len(dense.support()) == 300
+    assert prod == FracPowerSeries.one(300)
 
 
 def test_power_does_not_multiply_factor_by_factor(monkeypatch):
