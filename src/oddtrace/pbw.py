@@ -4,8 +4,8 @@ A level-N basis vector is L_{-m_1}...L_{-m_s} G_{-n_1}...G_{-n_t} w (Ramond
 Verma modules, m_1 <= ... <= m_s, n_1 < ... < n_t, all >= 1) or
 psi_{-n_1}...psi_{-n_t} w (fermion Fock module), applied to a top-space
 vector w.  Traces of the twisted operators are computed level by level from
-the explicit action on monomials and assembled into a q-series with the
-q^{h - c/24} prefactor.
+the explicit action on monomials, summed on integer exponents and shifted
+by the q^{h - c/24} prefactor, as `qseries` builds `eta` and `jacobi_rhs`.
 
 The sign (-1)^t of a monomial depends on its fermionic part alone.  So the
 signed counts and the fermion trace build no monomials: one depth-first
@@ -223,8 +223,8 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     Theta acts on m w as (-1)^t m psi_0^2 w, and each level-N trace is the
     signed distinct-part partition count, tallied in integers, times the
     trace of psi_0^2 on the top space: psi_0^2 = [psi_0, psi_0]/2, read off
-    the bracket, is a scalar on each of v and vbar.  The assembled series
-    matches the eta expansion q^{1/24} prod (1 - q^n).
+    the bracket, is a scalar on each of v and vbar.  The levels on grid 1,
+    shifted by q^{1/24}, match the eta expansion q^{1/24} prod (1 - q^n).
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
@@ -232,10 +232,5 @@ def fermion_odd_trace(max_level: int) -> GradedTraceReport:
     top_trace = 2 * psi0_square  # v and vbar
     levels = [(n, top_trace * count)
               for n, count in enumerate(_signed_distinct_counts(max_level))]
-    # level n sits at the exponent (offset + n * grid) / grid
-    offset, grid = FERMION_PREFACTOR_EXPONENT.as_integer_ratio()
-    series = FracPowerSeries(
-        grid, FERMION_PREFACTOR_EXPONENT + max_level + 1,
-        {offset + n * grid: tr for n, tr in levels},
-    )
+    series = FracPowerSeries(1, max_level + 1, dict(levels)).shift(FERMION_PREFACTOR_EXPONENT)
     return GradedTraceReport(FERMION_PREFACTOR_EXPONENT, tuple(levels), series)

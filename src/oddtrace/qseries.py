@@ -21,6 +21,9 @@ shifted adds: one shifted copy of the packed int per term, k n_a adds of
 L-bit ints.  Otherwise a is packed too and CPython's int product does the
 convolution: k products of L-bit ints.  Packing and unpacking cost O(L),
 whatever the number of terms.
+
+`eta`, `jacobi_rhs` and the fermion trace in `pbw` are integer-exponent
+sums on grid 1, each shifted by its prefactor q^x.
 """
 
 from __future__ import annotations
@@ -522,6 +525,6 @@ def jacobi_rhs(order: int) -> FracPowerSeries:
         raise ValueError("order must be >= 1")
     # n(2n+1) >= n^2, so every such n has n^2 <= floor(order)
     reach = isqrt(int(order))
-    terms = {Fraction(1, 8) + n * (2 * n + 1): 4 * n + 1
+    terms = {n * (2 * n + 1): 4 * n + 1
              for n in range(-reach, reach + 1) if n * (2 * n + 1) < order}
-    return FracPowerSeries.from_terms(terms, Fraction(1, 8) + order)
+    return FracPowerSeries(1, order, terms).shift(Fraction(1, 8))

@@ -4,8 +4,10 @@ with their supersymmetric functionals, over exact rationals.
 Every element is a (d0|d1) supermatrix, kept as the dict of its nonzero
 entries {(i, j): value}, with int or Fraction values.  There is one parity
 rule: an entry is odd when exactly one of i, j is >= d0, and an element is
-homogeneous when its entries share one parity.  There is one product, the
-sparse matrix product queer_mul.
+homogeneous when its entries share one parity.  `queer_mul`,
+`supercommutator` and `supersymmetry_check` share one product kernel,
+`_products`, over the row index `_index` of the right factors; it keys
+entry (i, j) as i * d + j, and `_matrix` turns the keys back into (i, j).
 
 Q_n is the subalgebra of End(n|n) of the matrices (X Y; Y X).  Its odd trace
 tr Y, the trace of the top-right block, is supersymmetric,
@@ -19,12 +21,12 @@ on the basis of matrix units, and returns the dimension of the functionals
 that vanish on all those supercommutators, from one integer elimination
 with the content divided out.  Dimension 1 means phi is the only
 supersymmetric functional, up to a scalar.  It indexes the entries of the
-whole basis by row once and forms ab only for the pairs with a nonzero
-product.  A pair with ab = ba = 0 counts into the zero bracket unformed;
-every other unordered pair forms [a, b] once, and [b, a] is [a, b] when
-both are odd and -[a, b] otherwise.  The brackets are tallied by their
-entries: phi runs, and a row is eliminated, once per distinct bracket, and
-a violation counts once per ordered pair.
+whole basis once and forms ab only for the pairs with a nonzero product.
+A pair with ab = ba = 0 counts into the zero bracket unformed; every other
+unordered pair forms [a, b] once, and [b, a] is [a, b] when both are odd
+and -[a, b] otherwise.  The brackets are tallied by their entries: phi
+runs, and a row is eliminated, once per distinct bracket, and a violation
+counts once per ordered pair.
 """
 
 from __future__ import annotations
@@ -108,47 +110,57 @@ def _same_size(a: Supermatrix, b: Supermatrix) -> None:
         raise ValueError(f"size mismatch: ({a.d0}|{a.d1}) vs ({b.d0}|{b.d1})")
 
 
-def _rows(b: Supermatrix) -> Dict[int, list]:
-    """The nonzero entries of b by row, {i: [(j, value)]}."""
-    rows: Dict[int, list] = {}
-    for (k, j), v in b.entries.items():
-        rows.setdefault(k, []).append((j, v))
-    return rows
+def _index(matrices: Sequence[Supermatrix]) -> Dict[int, list]:
+    """The entries of the matrices by row, {k: [(index in matrices, j, value)]}."""
+    by_row: Dict[int, list] = {}
+    for index, b in enumerate(matrices):
+        for (k, j), v in b.entries.items():
+            by_row.setdefault(k, []).append((index, j, v))
+    return by_row
 
 
-def _product(a: Supermatrix, b_rows: Dict[int, list]) -> Entries:
-    """The entries of ab, with b given by its rows `_rows(b)`, summed over
-    the nonzero entries of a and b; some may be zero."""
-    out: Entries = {}
+def _products(a: Supermatrix, by_row: Dict[int, list], d: int) -> Dict[int, dict]:
+    """{index: ab} for the b of the index `_index` with a row that meets an
+    entry of a; entry (i, j) of ab is keyed i * d + j, which sorts as
+    (i, j), and some may be zero."""
+    by_b: Dict[int, dict] = {}
     for (i, k), u in a.entries.items():
-        for j, v in b_rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + u * v
-    return out
+        row = i * d
+        for index, j, v in by_row.get(k, ()):
+            out = by_b.setdefault(index, {})
+            out[row + j] = out.get(row + j, 0) + u * v
+    return by_b
 
 
-def _nonzero(entries: Entries) -> Entries:
-    return {key: x for key, x in entries.items() if x}
+def _matrix(d0: int, d1: int, entries) -> Supermatrix:
+    """The supermatrix with the nonzero of these (i * d + j, value) entries."""
+    d = d0 + d1
+    return Supermatrix(d0, d1, {divmod(k, d): v for k, v in entries if v})
 
 
 def queer_mul(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     """The matrix product ab, in Q_n or in any End(d0|d1)."""
     _same_size(a, b)
-    return Supermatrix(a.d0, a.d1, _nonzero(_product(a, _rows(b))))
+    ab = _products(a, _index([b]), a.d0 + a.d1).get(0, {})
+    return _matrix(a.d0, a.d1, ab.items())
 
 
-def _bracket(ab: Entries, ba: Entries, sign: int) -> Entries:
+def _bracket(ab: dict, ba: dict, sign: int) -> dict:
     """The nonzero entries of ab - sign ba."""
     out = dict(ab)
     for key, v in ba.items():
         out[key] = out.get(key, 0) - sign * v
-    return _nonzero(out)
+    return {key: x for key, x in out.items() if x}
 
 
 def supercommutator(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     """[a, b] = ab - (-1)^{p(a)p(b)} ba, for homogeneous a and b."""
     sign = -1 if a.parity & b.parity else 1
     _same_size(a, b)
-    return Supermatrix(a.d0, a.d1, _bracket(_product(a, _rows(b)), _product(b, _rows(a)), sign))
+    d = a.d0 + a.d1
+    ab = _products(a, _index([b]), d).get(0, {})
+    ba = _products(b, _index([a]), d).get(0, {})
+    return _matrix(a.d0, a.d1, _bracket(ab, ba, sign).items())
 
 
 def odd_trace(a: Supermatrix) -> Fraction:
@@ -201,21 +213,9 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
     d0, d1 = basis[0].d0, basis[0].d1
     for b in basis:
         _same_size(basis[0], b)
-    # Inside the loop entry (i, j) is keyed i * d + j, which sorts as (i, j).
     d = d0 + d1
-    by_row: Dict[int, list] = {}
-    for index, b in enumerate(basis):
-        for (k, j), v in b.entries.items():
-            by_row.setdefault(k, []).append((index, j, v))
-    products: List[Dict[int, dict]] = []  # products[a][b] = ab
-    for a in basis:
-        by_b: Dict[int, dict] = {}
-        for (i, k), u in a.entries.items():
-            row = i * d
-            for index, j, v in by_row.get(k, ()):
-                out = by_b.setdefault(index, {})
-                out[row + j] = out.get(row + j, 0) + u * v
-        products.append(by_b)
+    by_row = _index(basis)
+    products = [_products(a, by_row, d) for a in basis]  # products[a][b] = ab
     # A pair is met from each side with a nonzero product and bracketed at
     # the first; a pair never met brackets to zero.
     tally: Dict[frozenset, int] = {}
@@ -235,7 +235,7 @@ def supersymmetry_check(basis: Sequence[Supermatrix],
                 zero_pairs -= 1
     if zero_pairs:
         tally[frozenset()] = tally.get(frozenset(), 0) + zero_pairs
-    brackets = {key: Supermatrix(d0, d1, {divmod(k, d): v for k, v in key}) for key in tally}
+    brackets = {key: _matrix(d0, d1, key) for key in tally}
     violations = sum(count for key, count in tally.items() if phi(brackets[key]))
     rank = len(_echelon(c.entries for c in brackets.values()))
     return sum(tally.values()), violations, len(basis) - rank

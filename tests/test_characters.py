@@ -1,8 +1,10 @@
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
+from oddtrace import characters, pbw, qseries
 from oddtrace.characters import (
     SignResolutionError,
     _bgg_route,
@@ -294,3 +296,56 @@ def test_eta_cubed_magnitudes_recover_4k_plus_1():
         m = e - EIGHTH
         k = next(k for k in range(-8, 9) if k * (2 * k + 1) == m)
         assert abs(cube.coeff(e)) == abs(4 * k + 1)
+
+
+# ---------------------------------------------------------------------------
+# route independence: each route, with what it may not read made to raise
+# ---------------------------------------------------------------------------
+
+# eta, jacobi_rhs and euler_product, wherever they are bound
+CLOSED_FORMS = ["oddtrace.qseries.euler_product", "oddtrace.qseries.eta",
+                "oddtrace.qseries.jacobi_rhs", "oddtrace.characters.eta",
+                "oddtrace.characters.jacobi_rhs"]
+# the functions of qseries and the methods of FracPowerSeries, and the
+# closed forms that characters binds
+EVERY_QSERIES_FUNCTION = [
+    f"oddtrace.qseries.{name}" for name, f in vars(qseries).items()
+    if inspect.isfunction(f) and f.__module__ == qseries.__name__
+] + [
+    f"oddtrace.qseries.FracPowerSeries.{name}" for name, f in vars(FracPowerSeries).items()
+    if inspect.isfunction(f) or isinstance(f, staticmethod)
+] + ["oddtrace.characters.eta", "oddtrace.characters.jacobi_rhs"]
+
+
+def _resolution_route():
+    order = F(2801, 8)
+    signs = {k: 1 if term > 0 else -1 for k, _, term in characters._resolution_terms(order)}
+    return bgg_odd_trace(order, signs)
+
+
+# route: (the run, what it may not read)
+ROUTES = {
+    "fermion": (lambda: pbw.fermion_odd_trace(34),
+                CLOSED_FORMS + ["oddtrace.characters._resolution_terms"]),
+    "resolution": (_resolution_route,
+                   CLOSED_FORMS + ["oddtrace.superalgebras.bracket", "oddtrace.pbw.bracket"]),
+    "signed-counts": (lambda: pbw.signed_monomial_counts(24), EVERY_QSERIES_FUNCTION),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_route_runs_without_what_it_may_not_read(route, monkeypatch):
+    # The target is the unpatched run, built before any function is patched.
+    run, forbidden = ROUTES[route]
+    expected = run()
+
+    def raiser(target):
+        def read(*args, **kwargs):
+            raise AssertionError(f"the {route} route read {target}")
+        return read
+
+    with monkeypatch.context() as patched:
+        for target in forbidden:
+            patched.setattr(target, raiser(target))
+        got = run()
+    assert got == expected

@@ -337,13 +337,19 @@ def test_fermion_trace_series_assembles_levels():
 
 
 def test_fermion_trace_series_has_the_stored_form_of_from_terms():
-    # The series built on integer keys against the build from Fraction
-    # exponents: the same grid, truncation, scale and numerators.
+    # The series shifted by its prefactor against two builds: from Fraction
+    # exponents, and on the prefactor's grid with level m at key
+    # offset + m * grid.  Each has the same grid, truncation, scale and
+    # numerators.
+    offset, grid = FERMION_PREFACTOR_EXPONENT.as_integer_ratio()
     for n in range(61):
         report = fermion_odd_trace(n)
-        built = FracPowerSeries.from_terms(
-            {FERMION_PREFACTOR_EXPONENT + m: tr for m, tr in report.levels},
-            truncation=FERMION_PREFACTOR_EXPONENT + n + 1)
         series = report.series
-        assert (series.denominator, series.truncation, series._scale, series._nums) == \
-            (built.denominator, built.truncation, built._scale, built._nums)
+        for built in (
+                FracPowerSeries.from_terms(
+                    {FERMION_PREFACTOR_EXPONENT + m: tr for m, tr in report.levels},
+                    truncation=FERMION_PREFACTOR_EXPONENT + n + 1),
+                FracPowerSeries(grid, FERMION_PREFACTOR_EXPONENT + n + 1,
+                                {offset + m * grid: tr for m, tr in report.levels})):
+            assert (series.denominator, series.truncation, series._scale, series._nums) == \
+                (built.denominator, built.truncation, built._scale, built._nums)

@@ -1,7 +1,7 @@
 import json
 import time
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -253,6 +253,22 @@ def test_jacobi_rhs_terms():
     for off, c in [(0, 1), (1, -3), (3, 5), (6, -7), (10, 9)]:
         assert rhs.coeff(eighth + off) == c
     assert rhs.coeff(eighth + 2) == 0
+
+
+def _jacobi_rhs_from_terms(order):
+    """jacobi_rhs built from Fraction exponents 1/8 + n(2n+1), before it
+    was built on integer keys and shifted by its prefactor q^(1/8)."""
+    reach = isqrt(int(order))
+    terms = {F(1, 8) + n * (2 * n + 1): 4 * n + 1
+             for n in range(-reach, reach + 1) if n * (2 * n + 1) < order}
+    return FracPowerSeries.from_terms(terms, F(1, 8) + order)
+
+
+def test_jacobi_rhs_has_the_stored_form_of_from_terms():
+    for order in [*range(1, 401), 2000, 50000]:
+        series, built = jacobi_rhs(order), _jacobi_rhs_from_terms(order)
+        assert (series.denominator, series.truncation, series._scale, series._nums) == \
+            (built.denominator, built.truncation, built._scale, built._nums)
 
 
 def test_jacobi_rhs_window_one():

@@ -120,6 +120,19 @@ def test_products_keep_only_nonzero_entries():
                for x in queer_basis(2) for y in queer_basis(2))
 
 
+def test_every_product_goes_through_the_one_kernel(monkeypatch):
+    # queer_mul forms ab, supercommutator ab and ba, and supersymmetry_check
+    # ab for each a of the basis, all in queer._products.
+    factors = []
+    real = queer._products
+    monkeypatch.setattr(queer, "_products", lambda a, *rest: factors.append(a) or real(a, *rest))
+    a, b = queer_basis(2)[1], queer_basis(2)[6]
+    queer_mul(a, b)
+    supercommutator(a, b)
+    supersymmetry_check(queer_basis(1), odd_trace)
+    assert factors == [a, a, b, *queer_basis(1)]
+
+
 @st.composite
 def block(draw, rows, cols):
     """A rows x cols block of rationals with denominators up to 9, often zero."""
